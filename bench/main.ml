@@ -20,14 +20,14 @@ let experiments : (string * string * (Common.scale -> unit)) list =
     ("micro", "bechamel microbenchmarks", Micro.run) ]
 
 (* Runnable by name (and via the @bench-smoke alias) but excluded from the
-   default "all" set so a full run's BENCH_commit_path.json is not
-   overwritten by the tiny smoke parameters. *)
+   default "all" set: they are regression checks, not measurements (the
+   smoke runs write their JSON to a temporary file). *)
 let hidden : (string * string * (Common.scale -> unit)) list =
   [ ("commit_path_smoke", "commit-path ablation, tiny parameters (CI smoke)",
      fun _ -> Commit_path.smoke ());
     ("shards_smoke", "shard scaling, tiny parameters (CI smoke)",
      fun _ -> Shards.smoke ());
-    ("shards_cross", "cross-batch commit-protocol regression check (CI smoke)",
+    ("shards_cross", "cross-batch protocol regression check (CI smoke)",
      fun _ -> Shards.cross_smoke ());
     ("shards_large", "chunked large-batch regression check (CI smoke)",
      fun _ -> Shards.large_smoke ());

@@ -7,15 +7,12 @@
 
    1. Calibration: single-threaded costs measured on the real store —
       read, single-shard batch fixed/marginal cost, and the extra cost
-      of a cross-shard batch under each commit protocol (centralized
-      shard-0 intent; decentralized presumed-abort mirrors with eager
-      and with lazy CLEAR).
+      of a cross-shard batch (decentralized presumed-abort mirrors with
+      lazy CLEAR) beyond its engine transactions.
    2. Throughput extrapolation: the calibrated costs drive the
       Fc_sharded DES model (one combiner per shard) across shard count
-      x writer count, plus a cross-batch-ratio sweep per commit
-      protocol — the ablation showing how moving from the serialized
-      shard-0 chain to the one-flip decentralized protocol recovers the
-      partitioning win.
+      x writer count, plus a cross-batch-ratio sweep showing how much of
+      the partitioning win survives cross-shard batches.
    3. Recovery: a real N-shard store is crashed with every shard dirty
       (a trap fires mid-transaction in each), and each shard's engine
       recovery is timed separately — per-shard recovery work shrinks
@@ -26,23 +23,12 @@ module S = Kv.Sharded_db.Default
 let key i = Printf.sprintf "k%06d" i
 let value i = Printf.sprintf "v%08d" i
 
-let make_store ?(fence = Pmem.Fence.stt) ?protocol ~region_size nshards =
+let make_store ?(fence = Pmem.Fence.stt) ~region_size nshards =
   let regions =
     Array.init nshards (fun _ ->
         Pmem.Region.create ~fence ~size:region_size ())
   in
-  (S.open_db ?protocol ~initial_buckets:1024 regions, regions)
-
-(* the ablation's three protocol arms, in presentation order *)
-let protocols =
-  [ ("centralized", Kv.Sharded_db.Centralized);
-    ("decentralized_eager", Kv.Sharded_db.Decentralized { lazy_clear = false });
-    ("decentralized_lazy", Kv.Sharded_db.Decentralized { lazy_clear = true }) ]
-
-let des_protocol = function
-  | Kv.Sharded_db.Centralized -> Simsched.Sync_model.Proto_centralized
-  | Kv.Sharded_db.Decentralized { lazy_clear } ->
-    Simsched.Sync_model.Proto_decentralized { lazy_clear }
+  (S.open_db ~initial_buckets:1024 regions, regions)
 
 (* first populated key routing to [shard]; the key space is dense enough
    that every shard owns many *)
@@ -60,26 +46,20 @@ type calib = {
   read_ns : float;
   update_work_ns : float;   (* marginal cost of one put inside a batch *)
   batch_fixed_ns : float;   (* per-transaction fixed cost *)
-  (* extra serialized cost of a 2-shard batch beyond its protocol's
-     engine transactions, one figure per protocol arm *)
-  intent_fixed_ns : (string * float) list;
+  (* measured cost of a 2-shard batch minus its engine transactions,
+     unclamped: negative when the transaction model overestimates the
+     chain (model error, reported rather than hidden) *)
+  intent_residual_ns : float;
 }
 
-let intent_of calib name =
-  match List.assoc_opt name calib.intent_fixed_ns with
-  | Some v -> v
-  | None -> invalid_arg ("no calibration for protocol " ^ name)
+(* the DES input: serialized bookkeeping cannot cost negative time *)
+let intent_fixed_ns calib = Float.max 0. calib.intent_residual_ns
 
-(* engine transactions a 2-participant cross batch runs under each
-   protocol; what the measured chain costs beyond these is the protocol's
-   serialized bookkeeping (payload encoding, undo capture, record
-   management).  centralized: PREPARE + 2 applies + COMMIT (CLEAR rides
-   in the residue); decentralized: 2 mirror+apply + flip, plus with
-   eager CLEAR 2 mirror unhooks + a flip unhook. *)
-let protocol_tx_count = function
-  | Kv.Sharded_db.Centralized -> 4.
-  | Kv.Sharded_db.Decentralized { lazy_clear = true } -> 3.
-  | Kv.Sharded_db.Decentralized { lazy_clear = false } -> 6.
+(* engine transactions a 2-participant cross batch runs: 2 mirror+apply
+   and the coordinator flip (lazy CLEAR rides inside them).  What the
+   measured chain costs beyond these is the protocol's serialized
+   bookkeeping (payload encoding, undo capture, record management). *)
+let cross_tx_count = 3.
 
 let calibrate ~ops =
   let keys = 512 in
@@ -111,14 +91,14 @@ let calibrate ~ops =
     if w <= 0. || w > batch1 then batch1 else w
   in
   let batch_fixed_ns = Float.max 0. (batch1 -. update_work_ns) in
-  (* measure the extra serialized cost of a 2-shard batch under each
-     protocol: the chain cost beyond the protocol's engine transactions
-     is its bookkeeping (payload encoding, undo capture, record
-     management — including lazy CLEAR's piggybacked reclamation, which
-     the steady-state loop amortizes into the mirror transactions) *)
+  (* measure the extra serialized cost of a 2-shard batch: the chain
+     cost beyond its engine transactions is its bookkeeping (payload
+     encoding, undo capture, record management — including lazy CLEAR's
+     piggybacked reclamation, which the steady-state loop amortizes into
+     the mirror transactions) *)
   let tx_unit = batch_fixed_ns +. update_work_ns in
-  let cross_fixed proto =
-    let db2, r2 = make_store ~protocol:proto ~region_size:(1 lsl 21) 2 in
+  let intent_residual_ns =
+    let db2, r2 = make_store ~region_size:(1 lsl 21) 2 in
     for i = 0 to keys - 1 do
       S.put db2 (key i) (value i)
     done;
@@ -149,17 +129,19 @@ let calibrate ~ops =
       in
       (wall +. d r2.(0) s0 +. d r2.(1) s1) /. float_of_int n
     in
-    Float.max 0. (cross_ns -. (protocol_tx_count proto *. tx_unit))
+    cross_ns -. (cross_tx_count *. tx_unit)
   in
-  let intent_fixed_ns =
-    List.map (fun (name, proto) -> (name, cross_fixed proto)) protocols
-  in
-  { read_ns; update_work_ns; batch_fixed_ns; intent_fixed_ns }
+  if intent_residual_ns < 0. then
+    Printf.printf
+      "model error: a 2-shard batch measured %s below its %.0f engine \
+       transactions; the DES uses 0 ns of intent bookkeeping\n%!"
+      (Common.ns (-.intent_residual_ns))
+      cross_tx_count;
+  { read_ns; update_work_ns; batch_fixed_ns; intent_residual_ns }
 
 (* ---- DES throughput sweep ---- *)
 
-let sharded_run ?resize ~scale ~calib ~shards ~cross_p ~proto_name ~proto
-    ~large writers =
+let sharded_run ?resize ~scale ~calib ~shards ~cross_p ~large writers =
   let costs =
     { Simsched.Sync_model.read_ns = calib.read_ns;
       update_work_ns = calib.update_work_ns;
@@ -169,17 +151,14 @@ let sharded_run ?resize ~scale ~calib ~shards ~cross_p ~proto_name ~proto
   Simsched.Sync_model.run
     { Simsched.Sync_model.model =
         Fc_sharded
-          { shards; cross_p;
-            intent_fixed_ns = intent_of calib proto_name;
-            protocol = des_protocol proto; large; resize };
+          { shards; cross_p; intent_fixed_ns = intent_fixed_ns calib; large;
+            resize };
       costs; readers = 0; writers;
       duration_ns = Common.sim_duration_ns scale; seed = 13 }
 
-let updates_per_sec ~scale ~calib ~shards ~cross_p ~proto_name ~proto
-    writers =
+let updates_per_sec ~scale ~calib ~shards ~cross_p writers =
   Simsched.Sync_model.updates_per_sec
-    (sharded_run ~scale ~calib ~shards ~cross_p ~proto_name ~proto
-       ~large:None writers)
+    (sharded_run ~scale ~calib ~shards ~cross_p ~large:None writers)
 
 (* ---- large-batch chunking ablation ---- *)
 
@@ -278,9 +257,7 @@ let large_batch_des ~scale ~calib ~shards ~writers =
   List.map
     (fun (arm, large) ->
       let r =
-        sharded_run ~scale ~calib ~shards ~cross_p:0.2
-          ~proto_name:"decentralized_lazy"
-          ~proto:Kv.Sharded_db.default_protocol ~large writers
+        sharded_run ~scale ~calib ~shards ~cross_p:0.2 ~large writers
       in
       { ld_arm = arm;
         ld_ups = Simsched.Sync_model.updates_per_sec r;
@@ -353,9 +330,7 @@ type elastic_des = {
 
 let elastic_des ~scale ~calib ~shards ~writers =
   let base =
-    updates_per_sec ~scale ~calib ~shards ~cross_p:0.05
-      ~proto_name:"decentralized_lazy"
-      ~proto:Kv.Sharded_db.default_protocol writers
+    updates_per_sec ~scale ~calib ~shards ~cross_p:0.05 writers
   in
   (* a move batch is one source-side chunk transaction's worth of work:
      the batch-fixed cost plus eight per-pair payload units *)
@@ -366,9 +341,8 @@ let elastic_des ~scale ~calib ~shards ~writers =
       start_frac = 0.25 }
   in
   let r =
-    sharded_run ~resize ~scale ~calib ~shards ~cross_p:0.05
-      ~proto_name:"decentralized_lazy"
-      ~proto:Kv.Sharded_db.default_protocol ~large:None writers
+    sharded_run ~resize ~scale ~calib ~shards ~cross_p:0.05 ~large:None
+      writers
   in
   { ed_move_batches = move_batches; ed_base_ups = base;
     ed_resize_ups = Simsched.Sync_model.updates_per_sec r }
@@ -572,7 +546,7 @@ let group_run ~scale ~calib ~shards ~window ~arm ~cross_p writers =
     { Simsched.Sync_model.model =
         Fc_group
           { shards; window; ack = group_ack_of_arm ~window arm; cross_p;
-            intent_fixed_ns = intent_of calib "decentralized_lazy" };
+            intent_fixed_ns = intent_fixed_ns calib };
       costs; readers = 0; writers;
       duration_ns = Common.sim_duration_ns scale; seed = 13 }
 
@@ -645,7 +619,6 @@ type scaling_row = {
 
 type cross_row = {
   c_shards : int;
-  c_protocol : string;
   cross_p : float;
   c_ups : float;
 }
@@ -664,14 +637,13 @@ let emit_json ~scale ~calib ~scaling ~cross ~large_real ~large_des
   Buffer.add_string b "  \"bench\": \"shards\",\n";
   Printf.bprintf b "  \"scale\": \"%s\",\n" scale;
   Buffer.add_string b "  \"ptm\": \"romL\",\n";
+  Buffer.add_string b "  \"cross_protocol\": \"decentralized_lazy\",\n";
   Printf.bprintf b
     "  \"calibration\": {\"read_ns\": %.1f, \"update_work_ns\": %.1f, \
-     \"batch_fixed_ns\": %.1f, \"intent_fixed_ns\": {%s}},\n"
+     \"batch_fixed_ns\": %.1f, \"intent_residual_ns\": %.1f, \
+     \"intent_fixed_ns\": %.1f},\n"
     calib.read_ns calib.update_work_ns calib.batch_fixed_ns
-    (String.concat ", "
-       (List.map
-          (fun (name, v) -> Printf.sprintf "\"%s\": %.1f" name v)
-          calib.intent_fixed_ns));
+    calib.intent_residual_ns (intent_fixed_ns calib);
   Buffer.add_string b "  \"scaling\": [\n";
   let n = List.length scaling in
   List.iteri
@@ -688,9 +660,9 @@ let emit_json ~scale ~calib ~scaling ~cross ~large_real ~large_des
   List.iteri
     (fun i r ->
       Printf.bprintf b
-        "    {\"shards\": %d, \"commit_protocol\": \"%s\", \"cross_p\": \
-         %.2f, \"updates_per_sec\": %.0f}%s\n"
-        r.c_shards r.c_protocol r.cross_p r.c_ups
+        "    {\"shards\": %d, \"cross_p\": %.2f, \"updates_per_sec\": \
+         %.0f}%s\n"
+        r.c_shards r.cross_p r.c_ups
         (if i = n - 1 then "" else ","))
     cross;
   Buffer.add_string b "  ],\n";
@@ -790,7 +762,8 @@ let emit_json ~scale ~calib ~scaling ~cross ~large_real ~large_des
     (fun () -> Buffer.output_buffer oc b);
   Printf.printf "wrote %s\n%!" path
 
-let run_at ~scale_name ~scale ~ops ~recovery_keys ~shard_axis ~writer_axis =
+let run_at ~scale_name ~scale ~ops ~recovery_keys ~shard_axis ~writer_axis
+    path =
   Common.section
     "shard scaling: hash-partitioned Sharded_db (romL per shard)";
   let calib = calibrate ~ops in
@@ -798,10 +771,9 @@ let run_at ~scale_name ~scale ~ops ~recovery_keys ~shard_axis ~writer_axis =
     (Common.ns calib.read_ns)
     (Common.ns calib.batch_fixed_ns)
     (Common.ns calib.update_work_ns);
-  List.iter
-    (fun (name, v) ->
-      Printf.printf "  intent extra (%s): %s\n%!" name (Common.ns v))
-    calib.intent_fixed_ns;
+  Printf.printf "  intent residual: %s (DES input %s)\n%!"
+    (Common.ns calib.intent_residual_ns)
+    (Common.ns (intent_fixed_ns calib));
   (* throughput vs shard count x writer count *)
   Common.subsection "update throughput (TX/s), single-key ops";
   let scaling = ref [] in
@@ -813,11 +785,8 @@ let run_at ~scale_name ~scale ~ops ~recovery_keys ~shard_axis ~writer_axis =
            ( string_of_int w,
              List.map
                (fun s ->
-                 (* no cross batches at cross_p=0: protocol-independent *)
                  let ups =
-                   updates_per_sec ~scale ~calib ~shards:s ~cross_p:0.
-                     ~proto_name:"decentralized_lazy"
-                     ~proto:Kv.Sharded_db.default_protocol w
+                   updates_per_sec ~scale ~calib ~shards:s ~cross_p:0. w
                  in
                  scaling :=
                    { shards = s; writers = w; ups;
@@ -845,57 +814,29 @@ let run_at ~scale_name ~scale ~ops ~recovery_keys ~shard_axis ~writer_axis =
     smax
     (Common.si (at smax wmax))
     (at smax wmax /. at 1 wmax);
-  (* cross-shard batch ratio x commit protocol: the ablation showing how
-     the decentralized flip recovers the partitioning win the serialized
-     shard-0 chain eats *)
+  (* cross-shard batch ratio: how much of the partitioning win survives
+     cross-shard batches *)
   Common.subsection
-    (Printf.sprintf
-       "cross-shard batch ratio x commit protocol (%d shards, %d writers)"
-       smax wmax);
-  let cross_axis = [ 0.; 0.05; 0.2; 0.5 ] in
+    (Printf.sprintf "cross-shard batch ratio (%d shards, %d writers)" smax
+       wmax);
   let cross =
-    List.concat_map
-      (fun (name, proto) ->
-        List.map
-          (fun cross_p ->
-            { c_shards = smax; c_protocol = name; cross_p;
-              c_ups =
-                updates_per_sec ~scale ~calib ~shards:smax ~cross_p
-                  ~proto_name:name ~proto wmax })
-          cross_axis)
-      protocols
+    List.map
+      (fun cross_p ->
+        { c_shards = smax; cross_p;
+          c_ups = updates_per_sec ~scale ~calib ~shards:smax ~cross_p wmax })
+      [ 0.; 0.05; 0.2; 0.5 ]
   in
-  let ups_of name p =
-    match
-      List.find_opt (fun r -> r.c_protocol = name && r.cross_p = p) cross
-    with
-    | Some r -> r.c_ups
-    | None -> nan
-  in
-  let short = function
-    | "centralized" -> "central"
-    | "decentralized_eager" -> "d_eager"
-    | "decentralized_lazy" -> "d_lazy"
-    | s -> s
-  in
-  Common.table ~header:"cross_p"
-    ~cols:(List.map (fun (name, _) -> short name) protocols)
+  Common.table ~header:"cross_p" ~cols:[ "TX/s" ]
     ~rows:
-      (List.map
-         (fun p ->
-           ( Printf.sprintf "%.2f" p,
-             List.map (fun (name, _) -> ups_of name p) protocols ))
-         cross_axis)
+      (List.map (fun r -> (Printf.sprintf "%.2f" r.cross_p, [ r.c_ups ])) cross)
     Common.si;
-  (* the ROADMAP target: lazy-CLEAR cross-batch throughput at
-     cross_p=0.2 within 2x of the cross_p=0 figure *)
-  let base = ups_of "decentralized_lazy" 0. in
-  let at02 = ups_of "decentralized_lazy" 0.2 in
+  (* the ROADMAP target: cross-batch throughput at cross_p=0.2 within 2x
+     of the cross_p=0 figure *)
+  let ups_at p = (List.find (fun r -> r.cross_p = p) cross).c_ups in
   Printf.printf
-    "cross_p=0.20 decentralized_lazy: %s TX/s = %.2fx of cross_p=0 \
-     (target >= 0.50x); centralized: %s TX/s\n%!"
-    (Common.si at02) (at02 /. base)
-    (Common.si (ups_of "centralized" 0.2));
+    "cross_p=0.20: %s TX/s = %.2fx of cross_p=0 (target >= 0.50x)\n%!"
+    (Common.si (ups_at 0.2))
+    (ups_at 0.2 /. ups_at 0.);
   (* large batches: chunk-size sweep on the real store, plus the DES
      streamed-vs-monolithic tail-latency ablation *)
   Common.subsection "large cross-shard batches: chunked mirror streaming";
@@ -1021,7 +962,7 @@ let run_at ~scale_name ~scale ~ops ~recovery_keys ~shard_axis ~writer_axis =
   in
   emit_json ~scale:scale_name ~calib ~scaling:(List.rev !scaling) ~cross
     ~large_real ~large_des ~elastic_r ~elastic_d ~avail ~group_des
-    ~group_window ~group_real ~recovery "BENCH_shards.json"
+    ~group_window ~group_real ~recovery path
 
 let run scale =
   let ops, recovery_keys =
@@ -1034,79 +975,67 @@ let run scale =
   in
   run_at ~scale_name ~scale ~ops ~recovery_keys
     ~shard_axis:[ 1; 2; 4; 8 ] ~writer_axis:[ 1; 2; 4; 8; 16; 32 ]
+    "BENCH_shards.json"
 
 (* Tiny parameters so CI catches bitrot (including the JSON emission)
-   without paying benchmark cost. *)
+   without paying benchmark cost.  The JSON goes to a temporary file, so
+   a smoke run never overwrites the committed BENCH_shards.json. *)
 let smoke () =
-  run_at ~scale_name:"smoke" ~scale:Common.Quick ~ops:60 ~recovery_keys:256
-    ~shard_axis:[ 1; 2 ] ~writer_axis:[ 1; 4 ]
+  let path = Filename.temp_file "BENCH_shards_smoke" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      run_at ~scale_name:"smoke" ~scale:Common.Quick ~ops:60
+        ~recovery_keys:256 ~shard_axis:[ 1; 2 ] ~writer_axis:[ 1; 4 ] path)
 
-(* Quick regression check of the cross-batch curve for @bench-smoke: the
+(* Quick regression check of the cross-batch path for @bench-smoke: the
    real store must show protocol activity through the Stats counters
-   under every commit protocol, and the calibrated DES must keep the
-   decentralized lazy-CLEAR arm ahead of the centralized one at
-   cross_p=0.2 — the ordering the tentpole exists to establish.  Fails
-   loudly (exception) so the alias catches a regression. *)
+   (PREPAREs, COMMIT flips and lazy CLEARs) and recovery must leave no
+   record hooked; the calibrated DES must keep the ROADMAP target at 8
+   shards / 32 writers — cross_p=0.2 throughput at least half of the
+   cross_p=0 figure.  Fails loudly (exception) so the alias catches a
+   regression. *)
 let cross_smoke () =
   Common.section "shards_cross: cross-batch protocol regression check";
-  (* real-store protocol activity, per protocol arm *)
-  List.iter
-    (fun (name, proto) ->
-      let db, _ = make_store ~protocol:proto ~region_size:(1 lsl 21) 4 in
-      for i = 0 to 255 do
-        S.put db (key i) (value i)
-      done;
-      for r = 0 to 3 do
-        S.write_batch db (fun b ->
-            for i = 0 to 15 do
-              S.put b (key ((r * 16) + i)) "x"
-            done)
-      done;
-      let st = S.stats db in
-      let fail what =
-        failwith (Printf.sprintf "shards_cross(%s): %s" name what)
-      in
-      if st.Pmem.Stats.intent_prepares = 0 then fail "no intent PREPAREs";
-      if st.Pmem.Stats.coordinator_flips = 0 then fail "no COMMIT flips";
-      (match proto with
-       | Kv.Sharded_db.Decentralized { lazy_clear = true } ->
-         if st.Pmem.Stats.lazy_clears = 0 then fail "no lazy CLEARs"
-       | _ ->
-         if S.pending_intents db <> 0 then fail "records left hooked");
-      S.recover ~parallel:false db;
-      if S.pending_intents db <> 0 then fail "recovery left records hooked";
-      for i = 0 to 63 do
-        if S.get db (key i) <> Some "x" then fail "batch write lost"
-      done;
-      Printf.printf
-        "  %-20s prepares=%d flips=%d lazy_clears=%d: ok\n%!" name
-        st.Pmem.Stats.intent_prepares st.Pmem.Stats.coordinator_flips
-        st.Pmem.Stats.lazy_clears)
-    protocols;
-  (* DES ordering at the ROADMAP's operating point *)
+  let fail what = failwith ("shards_cross: " ^ what) in
+  let db, _ = make_store ~region_size:(1 lsl 21) 4 in
+  for i = 0 to 255 do
+    S.put db (key i) (value i)
+  done;
+  for r = 0 to 3 do
+    S.write_batch db (fun b ->
+        for i = 0 to 15 do
+          S.put b (key ((r * 16) + i)) "x"
+        done)
+  done;
+  let st = S.stats db in
+  if st.Pmem.Stats.intent_prepares = 0 then fail "no intent PREPAREs";
+  if st.Pmem.Stats.coordinator_flips = 0 then fail "no COMMIT flips";
+  if st.Pmem.Stats.lazy_clears = 0 then fail "no lazy CLEARs";
+  S.recover ~parallel:false db;
+  if S.pending_intents db <> 0 then fail "recovery left records hooked";
+  for i = 0 to 63 do
+    if S.get db (key i) <> Some "x" then fail "batch write lost"
+  done;
+  Printf.printf "  prepares=%d flips=%d lazy_clears=%d: ok\n%!"
+    st.Pmem.Stats.intent_prepares st.Pmem.Stats.coordinator_flips
+    st.Pmem.Stats.lazy_clears;
+  (* DES at the ROADMAP's operating point *)
   let calib = calibrate ~ops:60 in
-  let ups name proto cross_p =
-    updates_per_sec ~scale:Common.Quick ~calib ~shards:8 ~cross_p
-      ~proto_name:name ~proto 32
+  let ups cross_p =
+    updates_per_sec ~scale:Common.Quick ~calib ~shards:8 ~cross_p 32
   in
-  let report =
-    List.map
-      (fun (name, proto) ->
-        let u = ups name proto 0.2 in
-        Printf.printf "  %-20s cross_p=0.2: %s TX/s\n%!" name (Common.si u);
-        (name, u))
-      protocols
-  in
-  let c = List.assoc "centralized" report in
-  let dl = List.assoc "decentralized_lazy" report in
-  if not (dl > c) then
+  let base = ups 0. and at02 = ups 0.2 in
+  Printf.printf "  cross_p=0: %s TX/s, cross_p=0.2: %s TX/s\n%!"
+    (Common.si base) (Common.si at02);
+  if not (at02 >= 0.5 *. base) then
     failwith
       (Printf.sprintf
-         "shards_cross: decentralized_lazy (%.0f TX/s) not ahead of \
-          centralized (%.0f TX/s) at cross_p=0.2"
-         dl c);
-  Printf.printf "shards_cross ok: decentralized_lazy %.2fx centralized\n%!"
-    (dl /. c)
+         "shards_cross: cross_p=0.2 (%.0f TX/s) below 0.50x of cross_p=0 \
+          (%.0f TX/s) at 8 shards / 32 writers"
+         at02 base);
+  Printf.printf "shards_cross ok: cross_p=0.2 at %.2fx of cross_p=0\n%!"
+    (at02 /. base)
 
 (* Quick regression check of the large-batch path for @bench-smoke: a
    real cross-shard batch of multi-KB values must stream more chunks at

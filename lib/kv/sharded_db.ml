@@ -6,9 +6,8 @@
    amortizes its own batch under one set of persistence fences, while
    every shard keeps the paper's twin-copy 4-fence protocol intact.
 
-   Cross-shard write batches are made all-or-nothing by a persistent
-   commit protocol.  The default is the *decentralized presumed-abort*
-   protocol:
+   Cross-shard write batches are made all-or-nothing by the
+   *decentralized presumed-abort* commit protocol:
 
      PREPARE+APPLY  one ordinary durable transaction per participant
                     shard writes that shard's own *intent mirror*
@@ -47,14 +46,13 @@
    with the batch's stale pre-image (the CORRECTNESS.md §10 lost-update
    gap).
 
-   The legacy centralized protocol (single batch-intent record in shard
-   0: PREPARE / per-shard APPLY / COMMIT flip / eager CLEAR, three
-   extra shard-0 transactions per batch) is retained behind
-   [Centralized] for ablation and for reopening stores that crashed
-   under it; recovery always reconciles both protocols' state.  A batch
-   that touches a single shard (always the case with one shard) skips
-   every protocol and runs as that shard's lone transaction, exactly as
-   in Romulus_db. *)
+   The retired centralized protocol kept a single batch-intent record in
+   shard 0's root slot [intent_slot]; the slot stays reserved, and a
+   store that still holds such a record (crashed mid-batch under that
+   protocol) is refused at open rather than replayed.  A batch that
+   touches a single shard (always the case with one shard) skips the
+   protocol and runs as that shard's lone transaction, exactly as in
+   Romulus_db. *)
 
 exception Invalid_shards of int
 
@@ -98,7 +96,7 @@ exception Shard_unavailable of { shard : int; cause : health_cause }
    per-shard snapshot-load failure (previously a raw [Sys_error] or
    [Snapshot_corrupt] with no shard attribution), [recover_shard]
    wraps its engine's failure, and shard 0 — whose failure is fatal,
-   because it anchors routing, health and the centralized intent —
+   because it anchors routing and health —
    surfaces its open failure this way from [open_db]. *)
 exception Shard_open_failed of { shard : int; cause : exn }
 
@@ -163,12 +161,6 @@ let with_overload_retry ?(retries = default_overload_retries)
   in
   go (overload_backoff_schedule ~retries ~base_ns ~seed)
 
-type commit_protocol =
-  | Centralized
-  | Decentralized of { lazy_clear : bool }
-
-let default_protocol = Decentralized { lazy_clear = true }
-
 (* Chunked mirror streaming: a mirror whose payload exceeds [chunk_bytes]
    is written as a linked chain of CRC-protected chunks, one engine
    transaction each, and only becomes meaningful when a final seal
@@ -198,13 +190,7 @@ end
 
 (* Crash-window failpoints.  The campaign arms one of these with a
    simulated power-off to kill inside a protocol window, between the
-   per-shard commits, and around recovery's fan-out.  The sharded.batch.*
-   sites belong to the centralized protocol, the sharded.d.* sites to the
-   decentralized one. *)
-let fp_intent_published = Fault.site "sharded.batch.intent_published"
-let fp_shard_applied = Fault.site "sharded.batch.shard_applied"
-let fp_committed = Fault.site "sharded.batch.committed"
-let fp_cleared = Fault.site "sharded.batch.cleared"
+   per-shard commits, and around recovery's fan-out. *)
 let fp_mirror_applied = Fault.site "sharded.d.mirror_applied"
 let fp_flip_written = Fault.site "sharded.d.flip_written"
 let fp_mirror_cleared = Fault.site "sharded.d.mirror_cleared"
@@ -248,11 +234,10 @@ let fp_health_evacuated = Fault.site "sharded.health.evacuated"
 (* ---- record serialization (PTM-independent) ----
 
    All lengths are 64-bit little-endian; a value option carries a
-   presence tag so "put empty string" and "delete" stay distinct.  The
-   centralized intent stores one blob for the whole batch; a
-   decentralized mirror stores one blob per shard slice whose undo
-   entries each carry a leading validity byte ('\001' live, '\000'
-   invalidated by a racing single-key write). *)
+   presence tag so "put empty string" and "delete" stay distinct.  A
+   mirror stores one blob per shard slice whose undo entries each carry
+   a leading validity byte ('\001' live, '\000' invalidated by a racing
+   single-key write). *)
 
 let add_str b s =
   Buffer.add_int64_le b (Int64.of_int (String.length s));
@@ -272,13 +257,6 @@ let add_kv_list b l =
       add_str b k;
       add_opt b v)
     l
-
-let encode ~nshards ~ops ~undo =
-  let b = Buffer.create 256 in
-  Buffer.add_int64_le b (Int64.of_int nshards);
-  add_kv_list b ops;
-  add_kv_list b undo;
-  Buffer.contents b
 
 (* An undo image inside a mirror payload: the key's pre-batch value
    either did not exist, is stored inline, or — when larger than the
@@ -375,13 +353,6 @@ let take_kv_list pr what =
   List.init n (fun _ ->
       let k = take_str pr what in
       (k, take_opt pr what))
-
-let decode payload =
-  let pr = { payload; pos = 0 } in
-  let nshards = take_int pr "shard-count" in
-  let ops = take_kv_list pr "operation" in
-  let undo = take_kv_list pr "undo" in
-  (nshards, ops, undo)
 
 let take_image pr what =
   match take_byte pr what with
@@ -559,7 +530,6 @@ module Make (P : SHARD_PTM) = struct
   }
 
   type proto = {
-    protocol : commit_protocol;
     config : config;
     mutable next_batch_id : int;
     pending : (string, pending_undo) Hashtbl.t;
@@ -619,10 +589,11 @@ module Make (P : SHARD_PTM) = struct
 
   (* Reserved root slots, far from the map's anchor.  None is touched
      before the first cross-shard batch, so a 1-shard store stays
-     bit-for-bit identical to Romulus_db.  [intent_slot] holds the
-     centralized protocol's single record (shard 0 only); [mirror_slot]
-     and [flip_slot] head each shard's decentralized mirror and flip
-     lists. *)
+     bit-for-bit identical to Romulus_db.  [intent_slot] held the
+     retired centralized protocol's batch record (shard 0); it stays
+     reserved so the other slots keep their numbers, and a non-zero
+     value is refused at open.  [mirror_slot] and [flip_slot] head each
+     shard's mirror and flip lists. *)
   let intent_slot = Romulus.Ptm_intf.root_slots - 1
   let mirror_slot = Romulus.Ptm_intf.root_slots - 2
   let flip_slot = Romulus.Ptm_intf.root_slots - 3
@@ -641,9 +612,6 @@ module Make (P : SHARD_PTM) = struct
 
   (* Per-shard health array (shard 0, next to the slot table). *)
   let health_slot = Romulus.Ptm_intf.root_slots - 8
-
-  let status_prepared = 1
-  let status_committed = 2
 
   (* mirror record: next | batch id | coordinator | participant mask |
      sealed | payload length | chunk-chain head | spill-list head.
@@ -1125,88 +1093,10 @@ module Make (P : SHARD_PTM) = struct
     free_chain p (P.load p (off + m_spills));
     unhook p ~slot:mirror_slot off
 
-  (* one durable transaction per shard, replaying that shard's slice *)
-  let apply_groups t groups =
-    List.iter
-      (fun (i, sops) ->
-        let s = raw t i in
-        P.update_tx s.p (fun () -> List.iter (apply_op s) sops))
-      groups
-
   let wrap_abort e backtrace =
     match e with
     | Romulus.Engine.Tx_aborted _ -> raise e
     | e -> raise (Romulus.Engine.Tx_aborted { cause = e; backtrace })
-
-  (* ---- the centralized (legacy) batch-intent protocol ---- *)
-
-  let read_intent_root t =
-    let s0 = raw t 0 in
-    P.read_tx s0.p (fun () -> P.get_root s0.p intent_slot)
-
-  let clear_intent t off =
-    let s0 = raw t 0 in
-    P.update_tx s0.p (fun () ->
-        P.set_root s0.p intent_slot 0;
-        P.free s0.p off)
-
-  let cross_shard_batch_centralized t groups ops =
-    let s0 = raw t 0 in
-    let undo = undo_of t ops in
-    let payload = encode ~nshards:(shards t) ~ops ~undo in
-    (* PREPARE: the intent record becomes durable before any shard's data
-       changes — from here a crash is reconciled from the record *)
-    let off =
-      P.update_tx s0.p (fun () ->
-          let o = P.alloc s0.p (16 + String.length payload) in
-          P.store s0.p o status_prepared;
-          P.store s0.p (o + 8) (String.length payload);
-          P.store_bytes s0.p (o + 16) payload;
-          P.set_root s0.p intent_slot o;
-          o)
-    in
-    tick_prepare s0;
-    Fault.hit fp_intent_published;
-    let applied = ref [] in
-    match
-      List.iter
-        (fun (i, sops) ->
-          let s = raw t i in
-          P.update_tx s.p (fun () -> List.iter (apply_op s) sops);
-          applied := i :: !applied;
-          Fault.hit fp_shard_applied)
-        groups
-    with
-    | () ->
-      (* COMMIT: the batch's durability point *)
-      P.update_tx s0.p (fun () -> P.store s0.p off status_committed);
-      tick_flip s0;
-      Fault.hit fp_committed;
-      clear_intent t off;
-      Fault.hit fp_cleared
-    | exception Pmem.Region.Crash_point ->
-      (* dead machine: recovery rolls back from the PREPARED intent *)
-      raise Pmem.Region.Crash_point
-    | exception e ->
-      (* Runtime abort: the failing shard's own transaction already
-         rolled back; restore the pre-batch images on the shards that
-         committed, then withdraw the intent.  A crash inside this
-         rollback leaves the PREPARED record for recovery to finish the
-         same rollback idempotently.  As in the engine, the cause is
-         re-raised wrapped in Tx_aborted (once). *)
-      let backtrace = Printexc.get_backtrace () in
-      let rolled = !applied in
-      List.iter
-        (fun i ->
-          let s = raw t i in
-          let slice =
-            List.filter (fun (k, _) -> shard_of_key t k = i) undo
-          in
-          P.update_tx s.p (fun () -> List.iter (apply_op s) slice);
-          tick_back s)
-        rolled;
-      clear_intent t off;
-      wrap_abort e backtrace
 
   (* ---- the decentralized presumed-abort protocol ---- *)
 
@@ -1536,7 +1426,7 @@ module Make (P : SHARD_PTM) = struct
         raise e
     end
 
-  let cross_shard_batch_decentralized t ~lazy_clear ~chunk_bytes groups =
+  let cross_shard_batch t ~chunk_bytes groups =
     let pr = t.proto in
     let id = pr.next_batch_id in
     pr.next_batch_id <- id + 1;
@@ -1593,32 +1483,18 @@ module Make (P : SHARD_PTM) = struct
       tick_flip sc;
       unregister ();
       Fault.hit fp_flip_written;
+      (* CLEAR is deferred: each mirror rides its shard's next PREPARE;
+         the flip follows once every mirror is gone.  Queues are
+         bounded: any shard past the flush threshold is drained by a
+         dedicated transaction right away. *)
       let participants = !applied in
-      if lazy_clear then begin
-        (* CLEAR is deferred: each mirror rides its shard's next PREPARE;
-           the flip follows once every mirror is gone.  Queues are
-           bounded: any shard past the flush threshold is drained by a
-           dedicated transaction right away. *)
-        Hashtbl.replace pr.live_flips id
-          (coord, flip_off, ref (List.length participants));
-        List.iter
-          (fun (i, off) ->
-            pr.clearable_mirrors.(i) <-
-              (off, id) :: pr.clearable_mirrors.(i))
-          participants;
-        maybe_flush_clears t
-      end
-      else begin
-        (* eager CLEAR: one transaction per participant, then the flip *)
-        List.iter
-          (fun (i, off) ->
-            let s = raw t i in
-            P.update_tx s.p (fun () -> unhook s.p ~slot:mirror_slot off);
-            Fault.hit fp_mirror_cleared)
-          (List.rev participants);
-        P.update_tx sc.p (fun () -> unhook sc.p ~slot:flip_slot flip_off);
-        Fault.hit fp_cleared
-      end)
+      Hashtbl.replace pr.live_flips id
+        (coord, flip_off, ref (List.length participants));
+      List.iter
+        (fun (i, off) ->
+          pr.clearable_mirrors.(i) <- (off, id) :: pr.clearable_mirrors.(i))
+        participants;
+      maybe_flush_clears t)
     | exception Pmem.Region.Crash_point ->
       (* dead machine: recovery presumed-aborts the hooked mirrors *)
       raise Pmem.Region.Crash_point
@@ -1642,7 +1518,7 @@ module Make (P : SHARD_PTM) = struct
 
   (* ---- admission control ----
 
-     Every decentralized batch is charged its per-shard mirror footprint
+     Every cross-shard batch is charged its per-shard mirror footprint
      (the exact inline-encoded payload length) against a volatile
      per-shard in-flight budget *before any persistent effect*.  A batch
      that cannot fit spins through a bounded backoff and then fails with
@@ -2382,37 +2258,32 @@ module Make (P : SHARD_PTM) = struct
            mirror is made durable: a batch never partially lands on the
            healthy subset of its shards *)
         List.iter (fun (i, _) -> ignore (rw t i : shard)) groups;
-        match t.proto.protocol with
-        | Centralized -> cross_shard_batch_centralized t groups ops
-        | Decentralized { lazy_clear } ->
-          let charges =
-            List.map
-              (fun (i, slice) ->
-                (i, mirror_payload_len ~ops:slice ~undo:(undo_of t slice)))
-              groups
-          in
-          admit t charges;
-          Fun.protect
-            ~finally:(fun () -> release t charges)
-            (fun () ->
-              (* A redo-log overflow inside PREPARE aborts cleanly (the
-                 batch-level handler already rolled every applied mirror
-                 back), so re-enter the chunked path with smaller chunks
-                 — bounding each protocol transaction — instead of
-                 surfacing the overflow.  When even [min_chunk_bytes]
-                 overflows (the slice itself is too wide for the redo
-                 log) the typed [Tx_aborted] carries the cause. *)
-              let rec attempt chunk_bytes =
-                try
-                  cross_shard_batch_decentralized t ~lazy_clear
-                    ~chunk_bytes groups
-                with
-                | Romulus.Engine.Tx_aborted
-                    { cause = Romulus.Redo_log.Overflow _; _ }
-                  when chunk_bytes > min_chunk_bytes ->
-                  attempt (max min_chunk_bytes (chunk_bytes / 4))
-              in
-              attempt t.proto.config.chunk_bytes))
+        let charges =
+          List.map
+            (fun (i, slice) ->
+              (i, mirror_payload_len ~ops:slice ~undo:(undo_of t slice)))
+            groups
+        in
+        admit t charges;
+        Fun.protect
+          ~finally:(fun () -> release t charges)
+          (fun () ->
+            (* A redo-log overflow inside PREPARE aborts cleanly (the
+               batch-level handler already rolled every applied mirror
+               back), so re-enter the chunked path with smaller chunks —
+               bounding each protocol transaction — instead of surfacing
+               the overflow.  When even [min_chunk_bytes] overflows (the
+               slice itself is too wide for the redo log) the typed
+               [Tx_aborted] carries the cause. *)
+            let rec attempt chunk_bytes =
+              try cross_shard_batch t ~chunk_bytes groups
+              with
+              | Romulus.Engine.Tx_aborted
+                  { cause = Romulus.Redo_log.Overflow _; _ }
+                when chunk_bytes > min_chunk_bytes ->
+                attempt (max min_chunk_bytes (chunk_bytes / 4))
+            in
+            attempt t.proto.config.chunk_bytes))
     end
 
   let write_batch t f =
@@ -2433,57 +2304,20 @@ module Make (P : SHARD_PTM) = struct
 
   (* ---- recovery, reconciliation, scrub ---- *)
 
-  (* Centralized reconciliation: replay the single shard-0 record.  Both
-     directions replay plain put/delete lists, so a repeated replay (a
-     crash inside reconciliation, then another recovery) is a no-op. *)
-  let reconcile_centralized t =
-    let off = read_intent_root t in
-    if off <> 0 then begin
-      let s0 = raw t 0 in
-      let status, payload =
-        P.read_tx s0.p (fun () ->
-            let status = P.load s0.p off in
-            let len = P.load s0.p (off + 8) in
-            (status, P.load_bytes s0.p (off + 16) len))
-      in
-      let nshards, ops, undo = decode payload in
-      (* an elastic store may have grown since the intent was written, so
-         only an intent naming *more* shards than are attached is
-         corrupt *)
-      if nshards <= 0 || nshards > shards t then
-        raise
-          (Romulus.Engine.Recovery_error
-             (Printf.sprintf
-                "sharded batch intent names %d shards, store has %d" nshards
-                (shards t)));
-      let groups =
-        if status = status_prepared then group_by_shard t undo
-        else if status = status_committed then group_by_shard t ops
-        else
-          raise
-            (Romulus.Engine.Recovery_error
-               (Printf.sprintf "sharded batch intent has bad status %d"
-                  status))
-      in
-      (* replay needs every participant's engine: with one down the
-         batch can be neither fully rolled back nor fully forward, so
-         the intent stays hooked for the recovery that follows repair.
-         A participant whose replay trips rotten media likewise parks
-         the intent rather than failing the whole open. *)
-      if List.for_all (fun (i, _) -> engine_up t i) groups then begin
-        match apply_groups t groups with
-        | () ->
-          if status = status_prepared then tick_back s0 else tick_forward s0;
-          clear_intent t off
-        | exception (Pmem.Region.Crash_point as e) -> raise e
-        | exception
-            Romulus.Engine.Tx_aborted
-              { cause = Pmem.Region.Media_error _; _ } ->
-          ()
-      end
-    end
+  (* A batch intent left in shard 0's reserved slot by the retired
+     centralized protocol cannot be replayed any more: refuse the store
+     loudly instead of leaving that batch silently half-applied. *)
+  let refuse_legacy_intent t =
+    if read_root t 0 intent_slot <> 0 then
+      raise
+        (Shard_open_failed
+           { shard = 0;
+             cause =
+               Romulus.Engine.Recovery_error
+                 "sharded store holds a centralized batch intent (protocol \
+                  removed); it cannot be replayed" })
 
-  (* Decentralized reconciliation: resolve every hooked mirror against
+  (* Batch reconciliation: resolve every hooked mirror against
      its coordinator's flip list, then clear the flips.  Phase order
      matters — a flip may only be removed once no mirror of its batch
      remains anywhere, or a crash between the two phases would turn a
@@ -2503,7 +2337,7 @@ module Make (P : SHARD_PTM) = struct
      trips rotten media is left hooked.  Any such skip also parks phase
      2 wholesale: a flip may only be reclaimed once no mirror of its
      batch can remain anywhere. *)
-  let reconcile_decentralized t =
+  let reconcile_mirrors t =
     let n = shards t in
     let skipped = ref false in
     (* all durable flips of reachable coordinators, keyed by
@@ -2645,14 +2479,15 @@ module Make (P : SHARD_PTM) = struct
     Array.fill pr.clearable_mirrors 0 (Array.length pr.clearable_mirrors) [];
     Array.fill pr.clearable_flips 0 (Array.length pr.clearable_flips) [];
     Array.fill pr.in_flight 0 (Array.length pr.in_flight) 0;
-    (* the routing table first (batch reconciliation may route), then the
-       commit protocols (per-key truth must be settled before keys are
+    (* a legacy intent first (nothing may run over that store), the
+       routing table next (batch reconciliation may route), then the
+       commit protocol (per-key truth must be settled before keys are
        streamed between shards), then any in-flight migration — which is
        always completed, so handles never see an open window after
        recovery *)
+    refuse_legacy_intent t;
     load_router t;
-    reconcile_centralized t;
-    reconcile_decentralized t;
+    reconcile_mirrors t;
     reconcile_migration t
 
   let recover_shard t i =
@@ -2747,10 +2582,9 @@ module Make (P : SHARD_PTM) = struct
     reconcile t;
     Fault.hit fp_recover_reconciled
 
-  (* Hooked protocol records across the whole store: the centralized
-     intent (if any) plus every decentralized mirror and flip.  Zero on
-     a quiescent store with eager CLEAR; with lazy CLEAR, committed
-     batches leave mirrors and flips here until reclaimed. *)
+  (* Hooked protocol records across the whole store: every mirror and
+     flip.  Committed batches leave theirs here until the lazy CLEAR
+     reclaims them. *)
   let pending_intents t =
     let count p slot =
       P.read_tx p (fun () ->
@@ -2762,8 +2596,7 @@ module Make (P : SHARD_PTM) = struct
         match so with
         | None -> acc
         | Some s -> acc + count s.p mirror_slot + count s.p flip_slot)
-      (if read_intent_root t <> 0 then 1 else 0)
-      t.shard_arr
+      0 t.shard_arr
 
   (* A durable migration intent is still hooked (never true after
      recovery or a completed resize: reclamation unhooks it). *)
@@ -2964,7 +2797,7 @@ module Make (P : SHARD_PTM) = struct
 
   (* ---- construction, snapshots ---- *)
 
-  let open_db ?(protocol = default_protocol) ?(initial_buckets = 1024)
+  let open_db ?(initial_buckets = 1024)
       ?(chunk_bytes = default_chunk_bytes)
       ?(spill_threshold = default_spill_threshold)
       ?(admission_budget = default_admission_budget)
@@ -3033,7 +2866,7 @@ module Make (P : SHARD_PTM) = struct
         clear_flush_threshold }
     in
     let proto =
-      { protocol; config; next_batch_id = 1; pending = Hashtbl.create 16;
+      { config; next_batch_id = 1; pending = Hashtbl.create 16;
         clearable_mirrors = Array.make n []; clearable_flips = Array.make n [];
         live_flips = Hashtbl.create 8; in_flight = Array.make n 0 }
     in
@@ -3086,7 +2919,7 @@ module Make (P : SHARD_PTM) = struct
           (Pmem.Region.shard_snapshot_path base ~shard:i))
       t.region_arr
 
-  let open_from_files ?fence ?protocol ?initial_buckets ?chunk_bytes
+  let open_from_files ?fence ?initial_buckets ?chunk_bytes
       ?spill_threshold ?admission_budget ?clear_flush_threshold ~shards base =
     if shards <= 0 then raise (Invalid_shards shards);
     (* validate the requested count against the file family before any
@@ -3115,7 +2948,7 @@ module Make (P : SHARD_PTM) = struct
           | Pmem.Region.Crash_point as e -> raise e
           | e -> raise (Shard_open_failed { shard = i; cause = e }))
     in
-    open_db ?protocol ?initial_buckets ?chunk_bytes ?spill_threshold
+    open_db ?initial_buckets ?chunk_bytes ?spill_threshold
       ?admission_budget ?clear_flush_threshold regions
 end
 

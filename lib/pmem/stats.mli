@@ -19,7 +19,7 @@ type t = {
   mutable repaired_lines : int;     (** bad lines a scrub rewrote from their twin *)
   mutable unrepairable_lines : int; (** bad lines no twin could repair *)
   mutable media_errors : int;       (** loads that hit a line failing its CRC *)
-  mutable intent_prepares : int;    (** cross-shard intent records made durable (one per participant mirror, or per centralized intent) *)
+  mutable intent_prepares : int;    (** cross-shard intent mirrors made durable (one per participant) *)
   mutable coordinator_flips : int;  (** cross-shard COMMIT flips (the batch durability point) *)
   mutable lazy_clears : int;        (** intent records reclaimed lazily (piggybacked on a later protocol transaction) *)
   mutable rolled_forward : int;     (** intents resolved as committed during reconciliation *)

@@ -1,10 +1,11 @@
-(* Timing helper for the benchmark harness: wall-clock time plus the
-   virtual latency injected by the region's fence profile (and any disk
-   simulation), so that runs under emulated STT-RAM/PCM report the
-   latency they would have on that medium while remaining deterministic
-   and fast. *)
+(* Timing helper for the benchmark harness: elapsed time on the
+   monotonic clock plus the virtual latency injected by the region's
+   fence profile (and any disk simulation), so that runs under emulated
+   STT-RAM/PCM report the latency they would have on that medium while
+   remaining deterministic and fast.  The monotonic clock never steps
+   backwards or jumps with wall-clock adjustments mid-measurement. *)
 
-let now_ns () = Unix.gettimeofday () *. 1e9
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
 (* [time_ns ?region f] runs [f ()] and returns elapsed nanoseconds,
    including the virtual delay the region accumulated during the call. *)

@@ -1,7 +1,9 @@
-(** Timing for the benchmark harness: wall clock plus the virtual latency
-    injected by a region's fence profile, so emulated STT-RAM/PCM costs
-    are reported deterministically. *)
+(** Timing for the benchmark harness: monotonic-clock elapsed time plus
+    the virtual latency injected by a region's fence profile, so emulated
+    STT-RAM/PCM costs are reported deterministically. *)
 
+(** Monotonic clock reading in nanoseconds (arbitrary origin: only
+    differences are meaningful). *)
 val now_ns : unit -> float
 
 (** Elapsed nanoseconds of [f ()], including the region's virtual

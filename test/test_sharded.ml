@@ -4,12 +4,11 @@
    idempotence (including crashes during recovery), scrub
    repair-or-refuse — against shards=1 (which must be bit-for-bit
    equivalent to Romulus_db over the same operations) and shards=4 —
-   plus the cross-shard commit protocols' own crash windows: the legacy
-   centralized batch-intent record (pinned with ~protocol:Centralized)
-   and the default decentralized presumed-abort protocol (per-shard
-   intent mirrors, coordinator flip, lazy CLEAR), including the
-   CORRECTNESS.md §10 lost-update regression where a single-key write
-   races an aborting batch on the same key. *)
+   plus the cross-shard commit protocol's own crash windows (per-shard
+   intent mirrors, coordinator flip, lazy CLEAR), the refusal of a
+   legacy centralized batch intent at open, and the CORRECTNESS.md §10
+   lost-update regression where a single-key write races an aborting
+   batch on the same key. *)
 
 module R = Pmem.Region
 module Db = Kv.Romulus_db.Default
@@ -19,11 +18,11 @@ let region ?(size = 1 lsl 18) () = R.create ~size ()
 
 let regions ?size n = Array.init n (fun _ -> region ?size ())
 
-let open_sharded ?protocol ?(shards = 4) ?(initial_buckets = 8) ?size
-    ?chunk_bytes ?spill_threshold ?admission_budget ?clear_flush_threshold () =
+let open_sharded ?(shards = 4) ?(initial_buckets = 8) ?size ?chunk_bytes
+    ?spill_threshold ?admission_budget ?clear_flush_threshold () =
   let rs = regions ?size shards in
   ( rs,
-    Sd.open_db ?protocol ~initial_buckets ?chunk_bytes ?spill_threshold
+    Sd.open_db ~initial_buckets ?chunk_bytes ?spill_threshold
       ?admission_budget ?clear_flush_threshold rs )
 
 let crash_all rs policy = Array.iter (fun r -> R.crash r policy) rs
@@ -222,31 +221,6 @@ let test_shard1_bitwise_equivalence () =
 
 (* ---- abort semantics (shards=4) ---- *)
 
-let test_cross_shard_runtime_abort () =
-  with_disarm @@ fun () ->
-  let _, db = open_sharded ~protocol:Kv.Sharded_db.Centralized () in
-  seed db 12;
-  (* inject a software fault after the first per-shard transaction of a
-     cross-shard batch commits: the batch must roll back to the pre-batch
-     image, surface a typed abort, and leave no intent behind *)
-  Fault.arm "sharded.batch.shard_applied" (fun () ->
-      raise (Fault.Injected "sharded.batch.shard_applied"));
-  (match run_batch db with
-   | () -> Alcotest.fail "injected fault did not surface"
-   | exception Romulus.Engine.Tx_aborted { cause = Fault.Injected _; _ } -> ()
-   | exception e ->
-     Alcotest.failf "expected Tx_aborted(Injected), got %s"
-       (Printexc.to_string e));
-  let applied = assert_all_or_nothing "runtime abort" db in
-  Alcotest.(check bool) "rolled back, not applied" false applied;
-  (* the store keeps working, and recovery finds nothing to reconcile *)
-  Sd.recover ~parallel:false db;
-  let applied = assert_all_or_nothing "after recover" db in
-  Alcotest.(check bool) "still rolled back" false applied;
-  run_batch db;
-  Alcotest.(check bool) "batch applies cleanly afterwards" true
-    (assert_all_or_nothing "clean retry" db)
-
 let test_raising_closure_discards_buffer () =
   let _, db = open_sharded () in
   seed db 4;
@@ -302,57 +276,6 @@ let test_crash_sweep_random_subset () =
 
 let test_crash_sweep_torn_words () =
   ignore (crash_sweep_policy (R.Torn_words 17) : int)
-
-(* ---- the centralized intent protocol's own windows (legacy) ---- *)
-
-let test_intent_window_rollback () =
-  with_disarm @@ fun () ->
-  let rs, db = open_sharded ~protocol:Kv.Sharded_db.Centralized () in
-  seed db 12;
-  (* power off right after the intent record becomes durable: no shard
-     has applied anything, recovery must roll the batch back *)
-  Fault.arm "sharded.batch.intent_published" (fun () -> R.kill rs.(0));
-  (match run_batch db with
-   | () -> Alcotest.fail "kill did not fire"
-   | exception R.Crash_point -> ());
-  crash_all rs R.Drop_all;
-  let db = Sd.open_db ~initial_buckets:8 rs in
-  Alcotest.(check bool) "rolled back from PREPARED" false
-    (assert_all_or_nothing "intent window" db)
-
-let test_inter_commit_window () =
-  with_disarm @@ fun () ->
-  let rs, db = open_sharded ~protocol:Kv.Sharded_db.Centralized () in
-  seed db 12;
-  (* power off between two per-shard commits: some shards applied, the
-     intent is still PREPARED, recovery must roll every shard back *)
-  Fault.arm ~skip:1 "sharded.batch.shard_applied" (fun () -> R.kill rs.(0));
-  (match run_batch db with
-   | () -> Alcotest.fail "kill did not fire"
-   | exception R.Crash_point -> ());
-  crash_all rs R.Keep_all;
-  let db = Sd.open_db ~initial_buckets:8 rs in
-  Alcotest.(check bool) "half-applied batch rolled back" false
-    (assert_all_or_nothing "inter-commit window" db)
-
-let test_committed_window_rolls_forward () =
-  with_disarm @@ fun () ->
-  let rs, db = open_sharded ~protocol:Kv.Sharded_db.Centralized () in
-  seed db 12;
-  (* power off after the COMMITTED flip but before the record is cleared:
-     the batch reached its durability point, recovery must roll forward *)
-  Fault.arm "sharded.batch.committed" (fun () -> R.kill rs.(0));
-  (match run_batch db with
-   | () -> Alcotest.fail "kill did not fire"
-   | exception R.Crash_point -> ());
-  crash_all rs R.Keep_all;
-  let db = Sd.open_db ~initial_buckets:8 rs in
-  Alcotest.(check bool) "rolled forward from COMMITTED" true
-    (assert_all_or_nothing "committed window" db);
-  (* the intent was cleared: another reconciliation changes nothing *)
-  Sd.recover ~parallel:false db;
-  Alcotest.(check bool) "idempotent after roll-forward" true
-    (assert_all_or_nothing "post-recover" db)
 
 (* ---- the decentralized presumed-abort protocol's windows ---- *)
 
@@ -467,17 +390,36 @@ let test_d_lazy_clear_reclamation () =
   Alcotest.(check bool) "data untouched" true
     (assert_all_or_nothing "after drain" db)
 
-let test_d_eager_clear () =
-  let _, db =
-    open_sharded ~protocol:(Kv.Sharded_db.Decentralized { lazy_clear = false })
-      ()
-  in
+(* A store crashed mid-batch under the retired centralized protocol
+   still holds its batch intent in shard 0's reserved root slot.  That
+   intent cannot be replayed any more, so open must refuse the store
+   with a typed shard-0 failure — every time, leaving the record in
+   place — rather than open it with the batch silently half-applied. *)
+let test_legacy_intent_refused () =
+  let rs, db = open_sharded () in
   seed db 12;
-  run_batch db;
-  Alcotest.(check bool) "batch applied" true
-    (assert_all_or_nothing "eager clear" db);
-  Alcotest.(check int) "eager CLEAR leaves nothing hooked" 0
-    (Sd.pending_intents db)
+  crash_all rs R.Drop_all;
+  let p = Romulus.Logged.open_region rs.(0) in
+  Romulus.Logged.update_tx p (fun () ->
+      let o = Romulus.Logged.alloc p 16 in
+      Romulus.Logged.store p o 1;
+      Romulus.Logged.store p (o + 8) 0;
+      Romulus.Logged.set_root p (Romulus.Ptm_intf.root_slots - 1) o);
+  crash_all rs R.Drop_all;
+  for attempt = 1 to 2 do
+    match Sd.open_db ~initial_buckets:8 rs with
+    | _ -> Alcotest.failf "attempt %d: opened over a legacy intent" attempt
+    | exception
+        Kv.Sharded_db.Shard_open_failed
+          { shard; cause = Romulus.Engine.Recovery_error msg } ->
+      Alcotest.(check int) "refusal names shard 0" 0 shard;
+      let needle = "centralized batch intent (protocol removed)" in
+      let rec has i =
+        i + String.length needle <= String.length msg
+        && (String.sub msg i (String.length needle) = needle || has (i + 1))
+      in
+      if not (has 0) then Alcotest.failf "unexpected refusal cause: %s" msg
+  done
 
 (* crash in the middle of the reconciliation pass itself: the next
    recovery must converge to the same all-or-nothing verdict *)
@@ -2349,24 +2291,19 @@ let suite =
   [ tc "sharded basics" `Quick test_basics;
     tc "invalid arguments typed" `Quick test_invalid_args;
     tc "shards=1 bitwise equivalence" `Quick test_shard1_bitwise_equivalence;
-    tc "cross-shard runtime abort" `Quick test_cross_shard_runtime_abort;
     tc "raising closure discards buffer" `Quick
       test_raising_closure_discards_buffer;
     tc "crash sweep drop-all" `Slow test_crash_sweep_drop_all;
     tc "crash sweep keep-all" `Slow test_crash_sweep_keep_all;
     tc "crash sweep random-subset" `Slow test_crash_sweep_random_subset;
     tc "crash sweep torn-words" `Slow test_crash_sweep_torn_words;
-    tc "intent window rollback" `Quick test_intent_window_rollback;
-    tc "inter-commit window rollback" `Quick test_inter_commit_window;
-    tc "committed window rolls forward" `Quick
-      test_committed_window_rolls_forward;
     tc "decentralized runtime abort" `Quick test_d_runtime_abort;
     tc "decentralized pre-flip presumed abort" `Quick
       test_d_preflip_presumed_abort;
     tc "decentralized post-flip rolls forward" `Quick
       test_d_postflip_rolls_forward;
     tc "lazy CLEAR reclamation" `Quick test_d_lazy_clear_reclamation;
-    tc "eager CLEAR leaves nothing" `Quick test_d_eager_clear;
+    tc "legacy centralized intent refused" `Quick test_legacy_intent_refused;
     tc "crash during reconciliation" `Quick
       test_d_crash_during_reconciliation;
     tc "lost update: runtime abort race" `Quick
