@@ -43,12 +43,131 @@ let ptms : (string * (module PTM)) list =
     ("mne", (module Baselines.Redolog));
     ("pmdk", (module Baselines.Undolog)) ]
 
+(* The line fate of one simulated crash: fixed by [policy], or under
+   [`Mix] drawn from the campaign's [rng] — one draw per call, so a seed
+   replays the same campaign.  [salt] varies the seeded fates. *)
+let pick_policy ~policy ~seed rng salt =
+  match policy with
+  | `Drop -> Pmem.Region.Drop_all
+  | `Keep -> Pmem.Region.Keep_all
+  | `Random -> Pmem.Region.Random_subset (seed + salt)
+  | `Torn -> Pmem.Region.Torn_words (seed + salt)
+  | `Mix -> (
+    match Workload.Keygen.int rng 4 with
+    | 0 -> Pmem.Region.Drop_all
+    | 1 -> Pmem.Region.Keep_all
+    | 2 -> Pmem.Region.Torn_words (seed + salt)
+    | _ -> Pmem.Region.Random_subset (seed + salt))
+
+(* crash every region of a sharded store under one line fate *)
+let crash_all rs p = Array.iter (fun r -> Pmem.Region.crash r p) rs
+
 type outcome = {
   rounds : int;
   crashes : int;
   recovery_crashes : int;
   failures : string list;
 }
+
+let outcome ~rounds ~crashes ~rec_crashes ~failures =
+  { rounds; crashes = !crashes; recovery_crashes = !rec_crashes;
+    failures = !failures }
+
+(* the regions of an [n]-shard store *)
+let shard_regions n =
+  Array.init n (fun _ -> Pmem.Region.create ~size:(1 lsl 19) ())
+
+(* a reopened store's [check] verdict, recorded through [fail] *)
+let report_check (fail : (_, _, _, _) format4 -> _) what = function
+  | Ok () -> ()
+  | Error e -> fail "%s: check: %s" what e
+
+(* [expect] pins the batch outcome where the protocol makes it
+   deterministic *)
+let report_outcome (fail : (_, _, _, _) format4 -> _) what ~expect applied =
+  let word b = if b then "applied" else "rolled back" in
+  match expect with
+  | Some want when want <> applied ->
+    fail "%s: expected the batch %s, found it %s" what (word want)
+      (word applied)
+  | _ -> ()
+
+(* The persistent structures a data-structure campaign drives, beside a
+   sequential shadow model of their contents.  They are created here,
+   before any trap is armed: a crash during lazy creation would poison
+   the thunk. *)
+type pds_workload = {
+  apply_op : unit -> unit;  (* one random update, mirrored in the shadow *)
+  structural : unit -> (unit, string) result;
+  divergences : unit -> int;  (* entries the structure and shadow disagree on *)
+  resync : unit -> unit;  (* trust the structure for every key *)
+}
+
+let pds_workload (type a) (module P : PTM with type t = a) (p : a) ~workload
+    rng =
+  let module L = Pds.Linked_list.Make (P) in
+  let module T = Pds.Rb_tree.Make (P) in
+  let module H = Pds.Hash_map.Make (P) in
+  let shadow : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let list_ = L.create p ~root:0 in
+  let tree = T.create p ~root:1 in
+  let map = H.create ~initial_buckets:8 p ~root:2 in
+  let apply_op () =
+    let k = Workload.Keygen.int rng 200 in
+    match workload with
+    | `List ->
+      if Workload.Keygen.bool rng then (
+        ignore (L.add list_ k);
+        Hashtbl.replace shadow k k)
+      else (
+        ignore (L.remove list_ k);
+        Hashtbl.remove shadow k)
+    | `Tree ->
+      if Workload.Keygen.bool rng then (
+        ignore (T.put tree k (k * 3));
+        Hashtbl.replace shadow k (k * 3))
+      else (
+        ignore (T.remove tree k);
+        Hashtbl.remove shadow k)
+    | `Map ->
+      if Workload.Keygen.bool rng then (
+        ignore (H.put map k (k * 5));
+        Hashtbl.replace shadow k (k * 5))
+      else (
+        ignore (H.remove map k);
+        Hashtbl.remove shadow k)
+  in
+  let structural () =
+    match workload with
+    | `List -> L.check list_
+    | `Tree -> T.check tree
+    | `Map -> H.check map
+  in
+  let divergences () =
+    let mine =
+      match workload with
+      | `List -> L.fold list_ (fun acc k -> (k, k) :: acc) []
+      | `Tree -> T.fold tree (fun acc k v -> (k, v) :: acc) []
+      | `Map -> H.fold map (fun acc k v -> (k, v) :: acc) []
+    in
+    let theirs = Hashtbl.fold (fun k v acc -> (k, v) :: acc) shadow [] in
+    List.length (List.filter (fun kv -> not (List.mem kv theirs)) mine)
+    + List.length (List.filter (fun kv -> not (List.mem kv mine)) theirs)
+  in
+  let resync () =
+    for k = 0 to 199 do
+      let v =
+        match workload with
+        | `List -> if L.contains list_ k then Some k else None
+        | `Tree -> T.get tree k
+        | `Map -> H.get map k
+      in
+      match v with
+      | Some v -> Hashtbl.replace shadow k v
+      | None -> Hashtbl.remove shadow k
+    done
+  in
+  { apply_op; structural; divergences; resync }
 
 (* One workload campaign: run [rounds] batches of random operations with a
    random crash trap (or a named failpoint) armed; after each crash,
@@ -63,84 +182,15 @@ let run_campaign (module P : PTM) ~workload ~rounds ~seed ~verbose ~policy
   let crashes = ref 0 in
   let rec_crashes = ref 0 in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let pick_policy salt =
-    match policy with
-    | `Drop -> Pmem.Region.Drop_all
-    | `Keep -> Pmem.Region.Keep_all
-    | `Random -> Pmem.Region.Random_subset (seed + salt)
-    | `Torn -> Pmem.Region.Torn_words (seed + salt)
-    | `Mix -> (
-      match Workload.Keygen.int rng 4 with
-      | 0 -> Pmem.Region.Drop_all
-      | 1 -> Pmem.Region.Keep_all
-      | 2 -> Pmem.Region.Torn_words (seed + salt)
-      | _ -> Pmem.Region.Random_subset (seed + salt))
-  in
-  (* the workload exposes: apply one op (given a shadow model), and a
-     checker run after each recovery *)
-  let module M = struct
-    module L = Pds.Linked_list.Make (P)
-    module T = Pds.Rb_tree.Make (P)
-    module H = Pds.Hash_map.Make (P)
-  end in
-  let shadow : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  (* create the structures before any trap is armed: a crash during lazy
-     creation would poison the thunk *)
-  let list_ = M.L.create p ~root:0 in
-  let tree = M.T.create p ~root:1 in
-  let map = M.H.create ~initial_buckets:8 p ~root:2 in
-  let key () = Workload.Keygen.int rng 200 in
-  let apply_op () =
-    let k = key () in
-    match workload with
-    | `List ->
-      if Workload.Keygen.bool rng then (
-        ignore (M.L.add list_ k);
-        Hashtbl.replace shadow k k)
-      else (
-        ignore (M.L.remove list_ k);
-        Hashtbl.remove shadow k)
-    | `Tree ->
-      if Workload.Keygen.bool rng then (
-        ignore (M.T.put tree k (k * 3));
-        Hashtbl.replace shadow k (k * 3))
-      else (
-        ignore (M.T.remove tree k);
-        Hashtbl.remove shadow k)
-    | `Map ->
-      if Workload.Keygen.bool rng then (
-        ignore (M.H.put map k (k * 5));
-        Hashtbl.replace shadow k (k * 5))
-      else (
-        ignore (M.H.remove map k);
-        Hashtbl.remove shadow k)
-  in
+  let pick_policy = pick_policy ~policy ~seed rng in
+  let w = pds_workload (module P) p ~workload rng in
   let check round =
-    let structural =
-      match workload with
-      | `List -> M.L.check list_
-      | `Tree -> M.T.check tree
-      | `Map -> M.H.check map
-    in
-    (match structural with
+    (match w.structural () with
      | Ok () -> ()
      | Error e -> fail "round %d: structural: %s" round e);
     (* the persistent contents must be the shadow model, except for the
        single operation in flight at the crash (atomic either way) *)
-    let mine =
-      match workload with
-      | `List ->
-        M.L.fold list_ (fun acc k -> (k, k) :: acc) []
-      | `Tree -> M.T.fold tree (fun acc k v -> (k, v) :: acc) []
-      | `Map -> M.H.fold map (fun acc k v -> (k, v) :: acc) []
-    in
-    let theirs = Hashtbl.fold (fun k v acc -> (k, v) :: acc) shadow [] in
-    let diff =
-      List.length
-        (List.filter (fun kv -> not (List.mem kv theirs)) mine)
-      + List.length
-          (List.filter (fun kv -> not (List.mem kv mine)) theirs)
-    in
+    let diff = w.divergences () in
     if diff > 1 then fail "round %d: %d divergences from the model" round diff
   in
   (* Recover, crashing the recovery itself up to [recovery_crashes] levels
@@ -169,7 +219,7 @@ let run_campaign (module P : PTM) ~workload ~rounds ~seed ~verbose ~policy
     (try
        (try
           for _ = 1 to 4 do
-            apply_op ()
+            w.apply_op ()
           done;
           Pmem.Region.clear_trap region;
           Fault.disarm ()
@@ -180,21 +230,7 @@ let run_campaign (module P : PTM) ~workload ~rounds ~seed ~verbose ~policy
           recover_nested round 0;
           (* the in-flight operation may or may not have committed: resync
              the shadow for the key it touched by trusting the structure *)
-          let resync k =
-            let v =
-              match workload with
-              | `List ->
-                if M.L.contains list_ k then Some k else None
-              | `Tree -> M.T.get tree k
-              | `Map -> M.H.get map k
-            in
-            match v with
-            | Some v -> Hashtbl.replace shadow k v
-            | None -> Hashtbl.remove shadow k
-          in
-          for k = 0 to 199 do
-            resync k
-          done);
+          w.resync ());
        check round
      with Romulus.Engine.Recovery_error e ->
        fail "round %d: recovery refused a legitimate crash state: %s" round e);
@@ -202,10 +238,7 @@ let run_campaign (module P : PTM) ~workload ~rounds ~seed ~verbose ~policy
       Printf.printf "  ... %d/%d rounds, %d crashes (%d during recovery)\n%!"
         round rounds !crashes !rec_crashes
   done;
-  { rounds;
-    crashes = !crashes;
-    recovery_crashes = !rec_crashes;
-    failures = !failures }
+  outcome ~rounds ~crashes ~rec_crashes ~failures
 
 (* ---- exception-injection campaign ---- *)
 
@@ -248,61 +281,12 @@ let run_inject_campaign (module P : PTM) ~workload ~rounds ~seed ~verbose
   let failures = ref [] in
   let injected = ref 0 in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let module M = struct
-    module L = Pds.Linked_list.Make (P)
-    module T = Pds.Rb_tree.Make (P)
-    module H = Pds.Hash_map.Make (P)
-  end in
-  let shadow : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let list_ = M.L.create p ~root:0 in
-  let tree = M.T.create p ~root:1 in
-  let map = M.H.create ~initial_buckets:8 p ~root:2 in
-  let key () = Workload.Keygen.int rng 200 in
-  let apply_op () =
-    let k = key () in
-    match workload with
-    | `List ->
-      if Workload.Keygen.bool rng then (
-        ignore (M.L.add list_ k);
-        Hashtbl.replace shadow k k)
-      else (
-        ignore (M.L.remove list_ k);
-        Hashtbl.remove shadow k)
-    | `Tree ->
-      if Workload.Keygen.bool rng then (
-        ignore (M.T.put tree k (k * 3));
-        Hashtbl.replace shadow k (k * 3))
-      else (
-        ignore (M.T.remove tree k);
-        Hashtbl.remove shadow k)
-    | `Map ->
-      if Workload.Keygen.bool rng then (
-        ignore (M.H.put map k (k * 5));
-        Hashtbl.replace shadow k (k * 5))
-      else (
-        ignore (M.H.remove map k);
-        Hashtbl.remove shadow k)
-  in
+  let w = pds_workload (module P) p ~workload rng in
   let check_exact round =
-    (match
-       match workload with
-       | `List -> M.L.check list_
-       | `Tree -> M.T.check tree
-       | `Map -> M.H.check map
-     with
+    (match w.structural () with
      | Ok () -> ()
      | Error e -> fail "round %d: structural: %s" round e);
-    let mine =
-      match workload with
-      | `List -> M.L.fold list_ (fun acc k -> (k, k) :: acc) []
-      | `Tree -> M.T.fold tree (fun acc k v -> (k, v) :: acc) []
-      | `Map -> M.H.fold map (fun acc k v -> (k, v) :: acc) []
-    in
-    let theirs = Hashtbl.fold (fun k v acc -> (k, v) :: acc) shadow [] in
-    let diff =
-      List.length (List.filter (fun kv -> not (List.mem kv theirs)) mine)
-      + List.length (List.filter (fun kv -> not (List.mem kv mine)) theirs)
-    in
+    let diff = w.divergences () in
     if diff > 0 then
       fail "round %d: aborted transaction visible: %d divergences" round diff
   in
@@ -310,7 +294,7 @@ let run_inject_campaign (module P : PTM) ~workload ~rounds ~seed ~verbose
      free chunks and allocations are served from the bins — otherwise
      the allocator sites are unreachable in early rounds *)
   for _ = 1 to 32 do
-    apply_op ()
+    w.apply_op ()
   done;
   (* A round counts only when the armed site actually fired (frees, bin
      reuse and batch shapes are workload-dependent); attempts are capped
@@ -324,7 +308,7 @@ let run_inject_campaign (module P : PTM) ~workload ~rounds ~seed ~verbose
         raise (Fault.Injected site));
     let before_fires = !injected in
     for _ = 1 to 4 do
-      match apply_op () with
+      match w.apply_op () with
       | () -> ()
       | exception Romulus.Engine.Tx_aborted { cause = Fault.Injected s; _ }
         when String.equal s site ->
@@ -643,19 +627,7 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   let crashes = ref 0 in
   let rec_crashes = ref 0 in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let pick_policy salt =
-    match policy with
-    | `Drop -> Pmem.Region.Drop_all
-    | `Keep -> Pmem.Region.Keep_all
-    | `Random -> Pmem.Region.Random_subset (seed + salt)
-    | `Torn -> Pmem.Region.Torn_words (seed + salt)
-    | `Mix -> (
-      match Workload.Keygen.int rng 4 with
-      | 0 -> Pmem.Region.Drop_all
-      | 1 -> Pmem.Region.Keep_all
-      | 2 -> Pmem.Region.Torn_words (seed + salt)
-      | _ -> Pmem.Region.Random_subset (seed + salt))
-  in
+  let pick_policy = pick_policy ~policy ~seed rng in
   let key i = Printf.sprintf "key%03d" i in
   let value i = Printf.sprintf "value-%04d" i in
   (* enough distinct keys that the batch always spans several shards *)
@@ -665,16 +637,13 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       (key 1, Some "overwritten"); (key 2, None) ]
   in
   let fresh () =
-    let rs =
-      Array.init nshards (fun _ -> Pmem.Region.create ~size:(1 lsl 19) ())
-    in
+    let rs = shard_regions nshards in
     let db = SD.open_db ~initial_buckets:8 rs in
     for i = 0 to 11 do
       SD.put db (key i) (value i)
     done;
     (rs, db)
   in
-  let crash_all rs p = Array.iter (fun r -> Pmem.Region.crash r p) rs in
   let run_batch db =
     SD.write_batch db (fun b ->
         List.iter
@@ -688,16 +657,9 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
      makes it deterministic (kills before the COMMIT flip roll back,
      kills after it roll forward) *)
   let oracle what db ~expect =
-    (match SD.check db with
-     | Ok () -> ()
-     | Error e -> fail "%s: check: %s" what e);
+    report_check fail what (SD.check db);
     let applied = SD.get db "batch-a" = Some "A" in
-    (match expect with
-     | Some want when want <> applied ->
-       fail "%s: expected the batch %s, found it %s" what
-         (if want then "applied" else "rolled back")
-         (if applied then "applied" else "rolled back")
-     | _ -> ());
+    report_outcome fail what ~expect applied;
     List.iter
       (fun (k, v) ->
         let got = SD.get db k in
@@ -846,31 +808,27 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       Printf.printf "  ... %d/%d rounds, %d crashes (%d during recovery)\n%!"
         round rounds !crashes !rec_crashes
   done;
-  { rounds;
-    crashes = !crashes;
-    recovery_crashes = !rec_crashes;
-    failures = !failures }
+  outcome ~rounds ~crashes ~rec_crashes ~failures
 
 (* ---- chunked intent-streaming campaign ---- *)
 
-(* Crash campaign for the chunked mirror chains.  Stores run with
-   deliberately small [chunk_bytes]/[spill_threshold] and the cross-shard
-   batch overwrites ~700-byte values with ~900-byte ones, so every
-   PREPARE streams a multi-chunk CRC-protected chain and spills every
-   undo image.  Per round: an instruction trap at a random point on
-   every shard in turn; failpoint kills mid-chain, at a spill, in the
-   seal window (a complete but unsealed chain must be collected as
-   presumed-abort garbage), and after the coordinator flip
-   (roll-forward with parked chains); and a kill inside recovery's
-   chain GC itself, which must converge when recovery is crashed and
-   rerun.  The oracle requires the batch to be
+(* Crash campaign for the chunked mirror chains.  Stores run with a
+   deliberately small [chunk_bytes] and the cross-shard batch overwrites
+   ~700-byte values with ~900-byte ones, so every PREPARE streams a
+   multi-chunk CRC-protected chain carrying the ops and the undo images.
+   Per round: an instruction trap at a random point on every shard in
+   turn; failpoint kills mid-chain, in the seal window (a complete but
+   unsealed chain must be collected as presumed-abort garbage), and
+   after the coordinator flip (roll-forward with parked chains); and a
+   kill inside recovery's chain GC itself, which must converge when
+   recovery is crashed and rerun.  The oracle requires the batch to be
    exactly all-or-nothing — a torn large value is the failure this
    campaign exists to catch — and every reopen to leave zero hooked
    records.  A sanity pass per campaign asserts the degradation
-   counters actually move: chunks_written, chunks_spilled,
-   clear_flushes (via an explicit drain) and overload_rejections (via
-   an undersized admission budget refusing the batch with the typed
-   Overloaded and no persistent effect). *)
+   counters actually move: chunks_written, clear_flushes (via an
+   explicit drain) and overload_rejections (via an undersized admission
+   budget refusing the batch with the typed Overloaded and no
+   persistent effect). *)
 let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
     ~policy =
   let module SD = Kv.Sharded_db.Make (P) in
@@ -879,21 +837,8 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   let crashes = ref 0 in
   let rec_crashes = ref 0 in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let pick_policy salt =
-    match policy with
-    | `Drop -> Pmem.Region.Drop_all
-    | `Keep -> Pmem.Region.Keep_all
-    | `Random -> Pmem.Region.Random_subset (seed + salt)
-    | `Torn -> Pmem.Region.Torn_words (seed + salt)
-    | `Mix -> (
-      match Workload.Keygen.int rng 4 with
-      | 0 -> Pmem.Region.Drop_all
-      | 1 -> Pmem.Region.Keep_all
-      | 2 -> Pmem.Region.Torn_words (seed + salt)
-      | _ -> Pmem.Region.Random_subset (seed + salt))
-  in
+  let pick_policy = pick_policy ~policy ~seed rng in
   let chunk_bytes = 256 in
-  let spill_threshold = 192 in
   let nkeys = 8 in
   let key i = Printf.sprintf "blob%02d" i in
   let big tag len =
@@ -903,22 +848,14 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   let new_v i = big (101 + i) 900 in
   let fresh_v = big 77 700 in
   let fresh ?admission_budget () =
-    let rs =
-      Array.init nshards (fun _ -> Pmem.Region.create ~size:(1 lsl 19) ())
-    in
-    let db =
-      SD.open_db ~initial_buckets:8 ~chunk_bytes ~spill_threshold
-        ?admission_budget rs
-    in
+    let rs = shard_regions nshards in
+    let db = SD.open_db ~initial_buckets:8 ~chunk_bytes ?admission_budget rs in
     for i = 0 to nkeys - 1 do
       SD.put db (key i) (old_v i)
     done;
     (rs, db)
   in
-  let reopen rs =
-    SD.open_db ~initial_buckets:8 ~chunk_bytes ~spill_threshold rs
-  in
-  let crash_all rs p = Array.iter (fun r -> Pmem.Region.crash r p) rs in
+  let reopen rs = SD.open_db ~initial_buckets:8 ~chunk_bytes rs in
   let run_batch db =
     SD.write_batch db (fun b ->
         for i = 0 to nkeys - 1 do
@@ -928,16 +865,9 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   in
   (* all-or-nothing over large values: any torn byte fails the equality *)
   let oracle what db ~expect =
-    (match SD.check db with
-     | Ok () -> ()
-     | Error e -> fail "%s: check: %s" what e);
+    report_check fail what (SD.check db);
     let applied = SD.get db (key 0) = Some (new_v 0) in
-    (match expect with
-     | Some want when want <> applied ->
-       fail "%s: expected the batch %s, found it %s" what
-         (if want then "applied" else "rolled back")
-         (if applied then "applied" else "rolled back")
-     | _ -> ());
+    report_outcome fail what ~expect applied;
     for i = 0 to nkeys - 1 do
       let want = if applied then new_v i else old_v i in
       if SD.get db (key i) <> Some want then
@@ -951,7 +881,7 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       fail "%s: records left hooked after recovery" what
   in
   (* sanity once per campaign: the batch crosses shards, chains really
-     stream and spill, an explicit drain ticks clear_flushes, and an
+     stream, an explicit drain ticks clear_flushes, and an
      undersized admission budget refuses the batch typed and untouched *)
   let coordinator =
     let _, db = fresh () in
@@ -968,9 +898,6 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
     if st.Pmem.Stats.chunks_written < 2 * List.length groups then
       fail "clean batch streamed only %d chunks over %d shards"
         st.Pmem.Stats.chunks_written (List.length groups);
-    if st.Pmem.Stats.chunks_spilled < nkeys then
-      fail "clean batch spilled only %d undo images (want >= %d)"
-        st.Pmem.Stats.chunks_spilled nkeys;
     SD.flush_clears db;
     let st = SD.stats db in
     if st.Pmem.Stats.clear_flushes = 0 then
@@ -1019,8 +946,6 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
        policy over the rounds. *)
     let windows =
       [ ( "sharded.chunk.written", Some (Workload.Keygen.int rng 4),
-          Some false, fun st -> st.Pmem.Stats.rolled_back > 0 );
-        ( "sharded.chunk.spilled", Some (Workload.Keygen.int rng 3),
           Some false, fun st -> st.Pmem.Stats.rolled_back > 0 );
         ( "sharded.chunk.seal_window", Some (Workload.Keygen.int rng 2),
           Some false, fun st -> st.Pmem.Stats.rolled_back > 0 );
@@ -1086,10 +1011,7 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       Printf.printf "  ... %d/%d rounds, %d crashes (%d during recovery)\n%!"
         round rounds !crashes !rec_crashes
   done;
-  { rounds;
-    crashes = !crashes;
-    recovery_crashes = !rec_crashes;
-    failures = !failures }
+  outcome ~rounds ~crashes ~rec_crashes ~failures
 
 (* ---- the elastic-sharding migration campaign ----
 
@@ -1115,19 +1037,7 @@ let run_migrate_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   let crashes = ref 0 in
   let rec_crashes = ref 0 in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let pick_policy salt =
-    match policy with
-    | `Drop -> Pmem.Region.Drop_all
-    | `Keep -> Pmem.Region.Keep_all
-    | `Random -> Pmem.Region.Random_subset (seed + salt)
-    | `Torn -> Pmem.Region.Torn_words (seed + salt)
-    | `Mix -> (
-      match Workload.Keygen.int rng 4 with
-      | 0 -> Pmem.Region.Drop_all
-      | 1 -> Pmem.Region.Keep_all
-      | 2 -> Pmem.Region.Torn_words (seed + salt)
-      | _ -> Pmem.Region.Random_subset (seed + salt))
-  in
+  let pick_policy = pick_policy ~policy ~seed rng in
   let nkeys = 48 in
   let key i = Printf.sprintf "mig%03d" i in
   let value i = Printf.sprintf "v-%04d-%s" i (String.make (i mod 40) 'x') in
@@ -1143,15 +1053,12 @@ let run_migrate_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
     (rs, db)
   in
   let reopen rs = SD.open_db ~initial_buckets:8 ~chunk_bytes rs in
-  let crash_all rs p = Array.iter (fun r -> Pmem.Region.crash r p) rs in
   (* [racing]: the raced key and the value its durable racing write must
      have pinned; [epoch]: the exact post-recovery epoch when the crash
      window guarantees one (a trap may land before the intent commits,
      so trap sweeps accept either outcome) *)
   let oracle what db ?epoch ?racing () =
-    (match SD.check db with
-     | Ok () -> ()
-     | Error e -> fail "%s: check: %s" what e);
+    report_check fail what (SD.check db);
     let seen = Hashtbl.create 64 in
     SD.iter db (fun k v ->
         if Hashtbl.mem seen k then fail "%s: key %s present twice" what k;
@@ -1388,10 +1295,7 @@ let run_migrate_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       Printf.printf "  ... %d/%d rounds, %d crashes (%d during recovery)\n%!"
         round rounds !crashes !rec_crashes
   done;
-  { rounds;
-    crashes = !crashes;
-    recovery_crashes = !rec_crashes;
-    failures = !failures }
+  outcome ~rounds ~crashes ~rec_crashes ~failures
 
 (* ---- quarantine / self-healing campaign ---- *)
 
@@ -1424,29 +1328,14 @@ let run_quarantine_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   let evacs = ref 0 in
   let restores = ref 0 in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let pick_policy salt =
-    match policy with
-    | `Drop -> Pmem.Region.Drop_all
-    | `Keep -> Pmem.Region.Keep_all
-    | `Random -> Pmem.Region.Random_subset (seed + salt)
-    | `Torn -> Pmem.Region.Torn_words (seed + salt)
-    | `Mix -> (
-      match Workload.Keygen.int rng 4 with
-      | 0 -> Pmem.Region.Drop_all
-      | 1 -> Pmem.Region.Keep_all
-      | 2 -> Pmem.Region.Torn_words (seed + salt)
-      | _ -> Pmem.Region.Random_subset (seed + salt))
-  in
+  let pick_policy = pick_policy ~policy ~seed rng in
   let nkeys = 48 in
   let key i = Printf.sprintf "qkey%03d" i in
   let value i = Printf.sprintf "qvalue-%04d" i in
-  let crash_all rs p = Array.iter (fun r -> Pmem.Region.crash r p) rs in
   (* a settled store: seeded, crashed clean and reopened, so every line
      is durably fenced and at-rest rot is the only damage *)
   let fresh () =
-    let rs =
-      Array.init nshards (fun _ -> Pmem.Region.create ~size:(1 lsl 19) ())
-    in
+    let rs = shard_regions nshards in
     let db = SD.open_db ~initial_buckets:8 rs in
     for i = 0 to nkeys - 1 do
       SD.put db (key i) (value i)
@@ -1549,9 +1438,7 @@ let run_quarantine_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
      byte-identity, or a retired (evacuated) shard with every survivor
      served exactly once *)
   let converged what db ~sick =
-    (match SD.check db with
-     | Ok () -> ()
-     | Error e -> fail "%s: check: %s" what e);
+    report_check fail what (SD.check db);
     match SD.health db sick with
     | Kv.Sharded_db.Healthy ->
       for i = 0 to nkeys - 1 do
@@ -1716,10 +1603,7 @@ let run_quarantine_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   done;
   if !restores = 0 then fail "snapshot-restore path never exercised";
   if !evacs = 0 then fail "evacuation path never exercised";
-  { rounds;
-    crashes = !crashes;
-    recovery_crashes = !rec_crashes;
-    failures = !failures }
+  outcome ~rounds ~crashes ~rec_crashes ~failures
 
 (* ---- group-commit front-end campaign ---- *)
 
@@ -1751,22 +1635,9 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   let crashes = ref 0 in
   let rec_crashes = ref 0 in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let pick_policy salt =
-    match policy with
-    | `Drop -> Pmem.Region.Drop_all
-    | `Keep -> Pmem.Region.Keep_all
-    | `Random -> Pmem.Region.Random_subset (seed + salt)
-    | `Torn -> Pmem.Region.Torn_words (seed + salt)
-    | `Mix -> (
-      match Workload.Keygen.int rng 4 with
-      | 0 -> Pmem.Region.Drop_all
-      | 1 -> Pmem.Region.Keep_all
-      | 2 -> Pmem.Region.Torn_words (seed + salt)
-      | _ -> Pmem.Region.Random_subset (seed + salt))
-  in
+  let pick_policy = pick_policy ~policy ~seed rng in
   let base_key i = Printf.sprintf "base%02d" i in
   let skey i = Printf.sprintf "g%03d" i in
-  let crash_all rs p = Array.iter (fun r -> Pmem.Region.crash r p) rs in
   let window = 4 in
   let modes =
     [ ("sync", Kv.Group_commit.Sync);
@@ -1774,9 +1645,7 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       ("async", Kv.Group_commit.Async) ]
   in
   let fresh () =
-    let rs =
-      Array.init nshards (fun _ -> Pmem.Region.create ~size:(1 lsl 19) ())
-    in
+    let rs = shard_regions nshards in
     let db = SD.open_db ~initial_buckets:8 rs in
     for i = 0 to 7 do
       SD.put db (base_key i) "settled"
@@ -1816,9 +1685,7 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   in
   let reopen what rs =
     let db = SD.open_db ~initial_buckets:8 rs in
-    (match SD.check db with
-     | Ok () -> ()
-     | Error e -> fail "%s: check: %s" what e);
+    report_check fail what (SD.check db);
     if SD.pending_intents db <> 0 then
       fail "%s: records left hooked after recovery" what;
     db
@@ -2020,10 +1887,7 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       Printf.printf "  ... %d/%d rounds, %d crashes (%d during recovery)\n%!"
         round rounds !crashes !rec_crashes
   done;
-  { rounds;
-    crashes = !crashes;
-    recovery_crashes = !rec_crashes;
-    failures = !failures }
+  outcome ~rounds ~crashes ~rec_crashes ~failures
 
 (* ---- command line ---- *)
 
@@ -2123,10 +1987,10 @@ let shards_arg =
 let chunked_arg =
   let doc =
     "With --shards, drive the chunked intent-streaming campaign instead: \
-     stores run with deliberately small chunk/spill knobs so every \
+     stores run with a deliberately small chunk size so every \
      cross-shard PREPARE streams a multi-chunk CRC-protected mirror \
-     chain and spills its undo images, and the windows kill mid-chain, \
-     at a spill, in the seal window (a complete but unsealed chain is \
+     chain carrying its large undo images, and the windows kill \
+     mid-chain, in the seal window (a complete but unsealed chain is \
      presumed-abort garbage), after the coordinator flip (roll-forward \
      with parked chains), and inside recovery's chain GC itself."
   in

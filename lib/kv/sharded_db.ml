@@ -169,13 +169,8 @@ let with_overload_retry ?(retries = default_overload_retries)
 let min_chunk_bytes = 128
 
 let default_chunk_bytes = 16 * 1024
-let default_spill_threshold = 4 * 1024
 let default_admission_budget = 4 * 1024 * 1024
 let default_clear_flush_threshold = 32
-
-(* attempts a batch makes to get under the per-shard in-flight budget
-   before raising [Overloaded] *)
-let admission_retries = 6
 
 module type SHARD_PTM = sig
   include Romulus.Ptm_intf.S
@@ -199,11 +194,10 @@ let fp_recover_shard_done = Fault.site "sharded.recover.shard_done"
 let fp_recover_resolved = Fault.site "sharded.recover.mirror_resolved"
 let fp_recover_reconciled = Fault.site "sharded.recover.reconciled"
 
-(* chunk-chain windows: after each streamed chunk commit, after each
-   spilled undo image, between the last chunk and the seal transaction,
-   and after recovery garbage-collects an unsealed chain *)
+(* chunk-chain windows: after each streamed chunk commit, between the
+   last chunk and the seal transaction, and after recovery
+   garbage-collects an unsealed chain *)
 let fp_chunk_written = Fault.site "sharded.chunk.written"
-let fp_chunk_spilled = Fault.site "sharded.chunk.spilled"
 let fp_seal_window = Fault.site "sharded.chunk.seal_window"
 let fp_chunk_gc = Fault.site "sharded.chunk.gc"
 
@@ -258,31 +252,11 @@ let add_kv_list b l =
       add_opt b v)
     l
 
-(* An undo image inside a mirror payload: the key's pre-batch value
-   either did not exist, is stored inline, or — when larger than the
-   spill threshold — was spilled into its own CRC-protected record and
-   the payload carries only the (offset, length) reference. *)
-type undo_image =
-  | U_absent
-  | U_inline of string
-  | U_spilled of { off : int; len : int }
-
-let image_of_opt = function None -> U_absent | Some v -> U_inline v
-
-let add_image b = function
-  | U_absent -> Buffer.add_char b '\000'
-  | U_inline v ->
-    Buffer.add_char b '\001';
-    add_str b v
-  | U_spilled { off; len } ->
-    Buffer.add_char b '\002';
-    Buffer.add_int64_le b (Int64.of_int off);
-    Buffer.add_int64_le b (Int64.of_int len)
-
 (* Mirror payload: shard count, the slice's ops, then undo entries with
-   a per-entry validity byte.  Returns the payload plus each undo key's
-   validity-byte offset *relative to the payload start*, so a racing
-   write can invalidate its entry with a one-byte durable store. *)
+   a per-entry validity byte and the key's pre-batch value.  Returns the
+   payload plus each undo key's validity-byte offset *relative to the
+   payload start*, so a racing write can invalidate its entry with a
+   one-byte durable store. *)
 let encode_mirror ~nshards ~ops ~undo =
   let b = Buffer.create 256 in
   Buffer.add_int64_le b (Int64.of_int nshards);
@@ -290,30 +264,15 @@ let encode_mirror ~nshards ~ops ~undo =
   Buffer.add_int64_le b (Int64.of_int (List.length undo));
   let valid_offs =
     List.map
-      (fun (k, img) ->
+      (fun (k, v) ->
         let off = Buffer.length b in
         Buffer.add_char b '\001';
         add_str b k;
-        add_image b img;
+        add_opt b v;
         (k, off))
       undo
   in
   (Buffer.contents b, valid_offs)
-
-(* Exact length of the payload [encode_mirror] would produce with every
-   undo image inline — the admission-control charge of a mirror, and the
-   chunked-vs-fast-path decision, without building the string. *)
-let opt_len = function None -> 1 | Some v -> 1 + 8 + String.length v
-
-let mirror_payload_len ~ops ~undo =
-  let kv_list l =
-    8 + List.fold_left (fun a (k, v) -> a + 8 + String.length k + opt_len v) 0 l
-  in
-  8 + kv_list ops
-  + 8
-  + List.fold_left
-      (fun a (k, v) -> a + 1 + 8 + String.length k + opt_len v)
-      0 undo
 
 type parser_ = { payload : string; mutable pos : int }
 
@@ -354,19 +313,30 @@ let take_kv_list pr what =
       let k = take_str pr what in
       (k, take_opt pr what))
 
-let take_image pr what =
-  match take_byte pr what with
-  | '\000' -> U_absent
-  | '\001' -> U_inline (take_str pr what)
-  | '\002' ->
-    let off = take_int pr what in
-    let len = take_int pr what in
-    U_spilled { off; len }
-  | _ -> bad what
+(* Tag '\002' once marked an undo image spilled out of the chain into a
+   record of its own, whose offset and length followed.  That format is
+   retired and its images are no longer resolved: one that a rollback
+   would replay ([live]) is refused by name rather than reported as
+   truncated, and any other is skipped, since nothing reads it. *)
+let take_undo_image pr ~live =
+  if pr.pos < String.length pr.payload && pr.payload.[pr.pos] = '\002'
+  then begin
+    if live then
+      raise
+        (Romulus.Engine.Recovery_error
+           "sharded mirror: undo image in the retired spilled-image format; \
+            it cannot be rolled back");
+    pr.pos <- pr.pos + 1;
+    ignore (take_int pr "spilled-image" : int);
+    ignore (take_int pr "spilled-image" : int);
+    None
+  end
+  else take_opt pr "undo"
 
 (* Returns (nshards, ops, undo) where each undo entry carries its
-   validity flag. *)
-let decode_mirror payload =
+   validity flag.  [replay] says the still-valid undo images are to be
+   rolled back. *)
+let decode_mirror ~replay payload =
   let pr = { payload; pos = 0 } in
   let nshards = take_int pr "shard-count" in
   let ops = take_kv_list pr "operation" in
@@ -380,7 +350,7 @@ let decode_mirror payload =
           | _ -> bad "undo-validity"
         in
         let k = take_str pr "undo" in
-        (valid, k, take_image pr "undo"))
+        (valid, k, take_undo_image pr ~live:(replay && valid)))
   in
   (nshards, ops, undo)
 
@@ -524,7 +494,6 @@ module Make (P : SHARD_PTM) = struct
   type config = {
     initial_buckets : int;
     chunk_bytes : int;
-    spill_threshold : int;
     admission_budget : int;
     clear_flush_threshold : int;
   }
@@ -619,7 +588,8 @@ module Make (P : SHARD_PTM) = struct
      on the fast path); [sealed] is 0 while the chain is streaming and
      flipped to 1 in the transaction that applies the slice, so
      sealed <=> slice applied and an unsealed chain is garbage for
-     recovery to collect. *)
+     recovery to collect.  The spill-list head is reserved: no mirror
+     written today has one, but a legacy chain's list is still freed. *)
   let mirror_hdr = 64
 
   let m_next = 0
@@ -631,7 +601,7 @@ module Make (P : SHARD_PTM) = struct
   let m_chunks = 48
   let m_spills = 56
 
-  (* chunk / spill record: next | byte length | crc32 | bytes *)
+  (* chunk record: next | byte length | crc32 | bytes *)
   let chunk_hdr = 24
 
   let c_len = 8
@@ -753,10 +723,6 @@ module Make (P : SHARD_PTM) = struct
   let tick_chunk s =
     tick s (fun st ->
         st.Pmem.Stats.chunks_written <- st.Pmem.Stats.chunks_written + 1)
-
-  let tick_spill s =
-    tick s (fun st ->
-        st.Pmem.Stats.chunks_spilled <- st.Pmem.Stats.chunks_spilled + 1)
 
   let tick_overload s =
     tick s (fun st ->
@@ -1047,17 +1013,21 @@ module Make (P : SHARD_PTM) = struct
     done;
     !out
 
-  (* pre-batch image of every distinct key of [slice], oldest first *)
-  let undo_of t slice =
+  (* [slice]'s mirror payload, with the current image of every distinct
+     key of the slice as its undo entry, oldest first *)
+  let encode_slice t slice =
     let seen = Hashtbl.create 16 in
-    List.filter_map
-      (fun (k, _) ->
-        if Hashtbl.mem seen k then None
-        else begin
-          Hashtbl.add seen k ();
-          Some (k, underlying_get t k)
-        end)
-      slice
+    let undo =
+      List.filter_map
+        (fun (k, _) ->
+          if Hashtbl.mem seen k then None
+          else begin
+            Hashtbl.add seen k ();
+            Some (k, underlying_get t k)
+          end)
+        slice
+    in
+    encode_mirror ~nshards:(shards t) ~ops:slice ~undo
 
   (* splice [off] out of the linked list headed at root [slot] and free
      it; a no-op when the record is already gone (inside an update tx) *)
@@ -1073,8 +1043,8 @@ module Make (P : SHARD_PTM) = struct
     in
     go 0 (P.get_root p slot)
 
-  (* free every record of a chunk or spill chain headed at [head]
-     (inside an update tx) *)
+  (* free every record of a chain headed at [head] (inside an update
+     tx) *)
   let free_chain p head =
     let rec go c =
       if c <> 0 then begin
@@ -1085,9 +1055,10 @@ module Make (P : SHARD_PTM) = struct
     in
     go head
 
-  (* reclaim a mirror together with its chunk chain and spilled undo
-     images, and splice it out of the mirror list (inside an update tx);
-     never reads payload bytes, so it is safe on unsealed chains *)
+  (* reclaim a mirror together with its chunk chain (and a legacy
+     mirror's spill list), and splice it out of the mirror list (inside
+     an update tx); never reads payload bytes, so it is safe on unsealed
+     chains *)
   let unhook_mirror p off =
     free_chain p (P.load p (off + m_chunks));
     free_chain p (P.load p (off + m_spills));
@@ -1224,35 +1195,16 @@ module Make (P : SHARD_PTM) = struct
     | Ok payload -> payload
     | Error msg -> chain_error msg
 
-  (* resolve a spilled undo image reference (CRC-checked) *)
-  let read_spill_in_tx s ~off ~len =
-    let p = s.p in
-    let slen = P.load p (off + c_len) in
-    if slen <> len then chain_error "spilled undo image length mismatch";
-    let stored = P.load p (off + c_crc) in
-    let bytes = P.load_bytes p (off + chunk_hdr) slen in
-    if Chunk.crc bytes <> stored then
-      chain_error "spilled undo image CRC mismatch";
-    bytes
-
   (* replay the still-valid undo entries of the sealed mirror at [off]
-     and reclaim it (chunk chain and spills included), inside one
-     transaction on shard [i]; reads the validity bytes back from the
-     chain so racing invalidations are honored *)
+     and reclaim it with its chunk chain, inside one transaction on
+     shard [i]; reads the validity bytes back from the chain so racing
+     invalidations are honored *)
   let rollback_mirror_tx t i off =
     let s = raw t i in
     P.update_tx s.p (fun () ->
         let payload = read_payload_in_tx s off in
-        let _, _, undo = decode_mirror payload in
-        List.iter
-          (fun (valid, k, img) ->
-            if valid then
-              match img with
-              | U_absent -> apply_op s (k, None)
-              | U_inline v -> apply_op s (k, Some v)
-              | U_spilled { off = soff; len } ->
-                apply_op s (k, Some (read_spill_in_tx s ~off:soff ~len)))
-          undo;
+        let _, _, undo = decode_mirror ~replay:true payload in
+        List.iter (fun (valid, k, v) -> if valid then apply_op s (k, v)) undo;
         unhook_mirror s.p off)
 
   (* collect a partially-streamed (unsealed) chain: nothing of its slice
@@ -1264,173 +1216,122 @@ module Make (P : SHARD_PTM) = struct
 
   (* ---- PREPARE: one mirror per participant, fast or streamed ----
 
-     Fast path (payload fits one chunk, nothing to spill): one
-     transaction allocates chunk and sealed mirror, hooks it, reclaims
-     stale records and applies the slice — exactly one protocol
-     transaction per participant, as before chunking.
+     Fast path (payload fits one chunk): one transaction allocates chunk
+     and sealed mirror, hooks it, reclaims stale records and applies the
+     slice — exactly one protocol transaction per participant, as before
+     chunking.
 
      Streamed path: an *unsealed* mirror shell is hooked first; each
-     spilled undo image and each payload chunk then commits in its own
-     bounded transaction, linked into the shell as it goes; a final seal
-     transaction flips [sealed] and applies the slice.  A crash anywhere
-     before the seal leaves an unsealed chain that recovery collects as
-     presumed abort; a runtime abort collects it inline.  Sealed <=>
-     slice applied — the PR 6 invariant at chain granularity. *)
+     payload chunk then commits in its own bounded transaction, linked
+     into the shell as it goes; a final seal transaction flips [sealed]
+     and applies the slice.  A crash anywhere before the seal leaves an
+     unsealed chain that recovery collects as presumed abort; a runtime
+     abort collects it inline.  Sealed <=> slice applied: the mirror
+     invariant, at chain granularity. *)
+
+  (* hook a fresh mirror header (inside an update tx on [s]) *)
+  let hook_mirror s ~id ~coord ~mask ~sealed ~plen ~chunks =
+    let o = P.alloc s.p mirror_hdr in
+    P.store s.p (o + m_next) (P.get_root s.p mirror_slot);
+    P.store s.p (o + m_id) id;
+    P.store s.p (o + m_coord) coord;
+    P.store s.p (o + m_mask) mask;
+    P.store s.p (o + m_sealed) sealed;
+    P.store s.p (o + m_plen) plen;
+    P.store s.p (o + m_chunks) chunks;
+    P.store s.p (o + m_spills) 0;
+    P.set_root s.p mirror_slot o;
+    o
+
+  (* one unlinked chunk record holding [piece] (inside an update tx) *)
+  let write_chunk s piece =
+    let len = String.length piece in
+    let c = P.alloc s.p (chunk_hdr + len) in
+    P.store s.p c 0;
+    P.store s.p (c + c_len) len;
+    P.store s.p (c + c_crc) (Chunk.crc piece);
+    P.store_bytes s.p (c + chunk_hdr) piece;
+    c
+
+  (* The undo images are read here, right before this participant's
+     PREPARE: a single-key write that lands after an earlier
+     participant's PREPARE, on a key not yet pending, is then this
+     mirror's pre-batch value.  Returns the mirror offset and, per undo
+     key, the chunk holding its validity byte and that byte's absolute
+     offset. *)
   let prepare_shard t ~chunk_bytes i ~id ~coord ~mask slice =
     let s = raw t i in
-    let cfg = t.proto.config in
-    let nshards = shards t in
-    let undo = undo_of t slice in
-    let inline_len = mirror_payload_len ~ops:slice ~undo in
-    let needs_spill =
-      List.exists
-        (fun (_, v) ->
-          match v with
-          | Some v -> String.length v > cfg.spill_threshold
-          | None -> false)
-        undo
-    in
-    if (not needs_spill) && inline_len <= chunk_bytes then begin
-      let payload, rel_offs =
-        encode_mirror ~nshards ~ops:slice
-          ~undo:(List.map (fun (k, v) -> (k, image_of_opt v)) undo)
-      in
-      let plen = String.length payload in
-      let moff, coff =
-        tx_with_drain t i (fun () ->
-            let c = P.alloc s.p (chunk_hdr + plen) in
-            P.store s.p c 0;
-            P.store s.p (c + c_len) plen;
-            P.store s.p (c + c_crc) (Chunk.crc payload);
-            P.store_bytes s.p (c + chunk_hdr) payload;
-            let o = P.alloc s.p mirror_hdr in
-            P.store s.p (o + m_next) (P.get_root s.p mirror_slot);
-            P.store s.p (o + m_id) id;
-            P.store s.p (o + m_coord) coord;
-            P.store s.p (o + m_mask) mask;
-            P.store s.p (o + m_sealed) 1;
-            P.store s.p (o + m_plen) plen;
-            P.store s.p (o + m_chunks) c;
-            P.store s.p (o + m_spills) 0;
-            P.set_root s.p mirror_slot o;
-            List.iter (apply_op s) slice;
-            (o, c))
-      in
-      tick_chunk s;
-      ( moff,
-        List.map (fun (k, rel) -> (k, coff, coff + chunk_hdr + rel)) rel_offs
-      )
-    end
-    else begin
-      (* unsealed shell first: from here the chain is crash-visible and
-         recovery (or the inline abort path) can always collect it *)
-      let moff =
-        tx_with_drain t i (fun () ->
-            let o = P.alloc s.p mirror_hdr in
-            P.store s.p (o + m_next) (P.get_root s.p mirror_slot);
-            P.store s.p (o + m_id) id;
-            P.store s.p (o + m_coord) coord;
-            P.store s.p (o + m_mask) mask;
-            P.store s.p (o + m_sealed) 0;
-            P.store s.p (o + m_plen) 0;
-            P.store s.p (o + m_chunks) 0;
-            P.store s.p (o + m_spills) 0;
-            P.set_root s.p mirror_slot o;
-            o)
-      in
-      try
-        (* oversized undo images leave the payload: one record each,
-           linked into the shell's spill list *)
-        let images =
-          List.map
-            (fun (k, v) ->
-              match v with
-              | Some v when String.length v > cfg.spill_threshold ->
-                let len = String.length v in
-                let soff =
+    let payload, rel_offs = encode_slice t slice in
+    let plen = String.length payload in
+    let hook = hook_mirror s ~id ~coord ~mask in
+    (* the chain's chunk offsets in order; every piece but the last
+       holds exactly [chunk_bytes] payload bytes *)
+    let moff, chunks =
+      if plen <= chunk_bytes then begin
+        let moff, c =
+          tx_with_drain t i (fun () ->
+              let c = write_chunk s payload in
+              let o = hook ~sealed:1 ~plen ~chunks:c in
+              List.iter (apply_op s) slice;
+              (o, c))
+        in
+        tick_chunk s;
+        (moff, [ c ])
+      end
+      else begin
+        (* unsealed shell first: from here the chain is crash-visible and
+           recovery (or the inline abort path) can always collect it *)
+        let moff =
+          tx_with_drain t i (fun () -> hook ~sealed:0 ~plen:0 ~chunks:0)
+        in
+        try
+          let link = ref (moff + m_chunks) in
+          let chunks =
+            List.map
+              (fun piece ->
+                let c =
                   P.update_tx s.p (fun () ->
-                      let o = P.alloc s.p (chunk_hdr + len) in
-                      P.store s.p o (P.load s.p (moff + m_spills));
-                      P.store s.p (o + c_len) len;
-                      P.store s.p (o + c_crc) (Chunk.crc v);
-                      P.store_bytes s.p (o + chunk_hdr) v;
-                      P.store s.p (moff + m_spills) o;
-                      o)
+                      let c = write_chunk s piece in
+                      P.store s.p !link c;
+                      c)
                 in
-                tick_spill s;
-                Fault.hit fp_chunk_spilled;
-                (k, U_spilled { off = soff; len })
-              | v -> (k, image_of_opt v))
-            undo
-        in
-        let payload, rel_offs =
-          encode_mirror ~nshards ~ops:slice ~undo:images
-        in
-        (* stream the chain, tracking each piece's payload interval so
-           validity-byte offsets can be mapped into their chunks *)
-        let segs = ref [] in
-        let prev = ref 0 in
-        let pos = ref 0 in
-        List.iter
-          (fun piece ->
-            let at = !pos and prev_off = !prev in
-            let plen = String.length piece in
-            let coff =
-              P.update_tx s.p (fun () ->
-                  let c = P.alloc s.p (chunk_hdr + plen) in
-                  P.store s.p c 0;
-                  P.store s.p (c + c_len) plen;
-                  P.store s.p (c + c_crc) (Chunk.crc piece);
-                  P.store_bytes s.p (c + chunk_hdr) piece;
-                  if prev_off = 0 then P.store s.p (moff + m_chunks) c
-                  else P.store s.p prev_off c;
-                  c)
-            in
-            segs := (coff, at, plen) :: !segs;
-            prev := coff;
-            pos := at + plen;
-            tick_chunk s;
-            Fault.hit fp_chunk_written)
-          (Chunk.split ~chunk_bytes payload);
-        let segs = List.rev !segs in
-        Fault.hit fp_seal_window;
-        (* the seal: sealed <=> slice applied, atomically *)
-        P.update_tx s.p (fun () ->
-            P.store s.p (moff + m_plen) (String.length payload);
-            P.store s.p (moff + m_sealed) 1;
-            List.iter (apply_op s) slice);
-        let abs_of rel =
-          let rec find = function
-            | (c, st, ln) :: rest ->
-              if rel >= st && rel < st + ln then
-                (c, c + chunk_hdr + (rel - st))
-              else find rest
-            | [] -> assert false
+                link := c;
+                tick_chunk s;
+                Fault.hit fp_chunk_written;
+                c)
+              (Chunk.split ~chunk_bytes payload)
           in
-          find segs
-        in
-        ( moff,
-          List.map
-            (fun (k, rel) ->
-              let c, a = abs_of rel in
-              (k, c, a))
-            rel_offs )
-      with
-      | Pmem.Region.Crash_point ->
-        (* dead machine: recovery collects the unsealed chain *)
-        raise Pmem.Region.Crash_point
-      | e ->
-        (* runtime abort mid-stream: collect our own unsealed chain
-           before re-raising to the batch-level abort handler *)
-        gc_mirror_tx t i moff;
-        raise e
-    end
+          Fault.hit fp_seal_window;
+          (* the seal: sealed <=> slice applied, atomically *)
+          P.update_tx s.p (fun () ->
+              P.store s.p (moff + m_plen) plen;
+              P.store s.p (moff + m_sealed) 1;
+              List.iter (apply_op s) slice);
+          (moff, chunks)
+        with
+        | Pmem.Region.Crash_point ->
+          (* dead machine: recovery collects the unsealed chain *)
+          raise Pmem.Region.Crash_point
+        | e ->
+          (* runtime abort mid-stream: collect our own unsealed chain
+             before re-raising to the batch-level abort handler *)
+          gc_mirror_tx t i moff;
+          raise e
+      end
+    in
+    let chunks = Array.of_list chunks in
+    ( moff,
+      List.map
+        (fun (k, rel) ->
+          let c = chunks.(rel / chunk_bytes) in
+          (k, c, c + chunk_hdr + (rel mod chunk_bytes)))
+        rel_offs )
 
   let cross_shard_batch t ~chunk_bytes groups =
     let pr = t.proto in
     let id = pr.next_batch_id in
     pr.next_batch_id <- id + 1;
-    let coord = fst (List.hd groups) in
+    let coord = match groups with (i, _) :: _ -> i | [] -> assert false in
     let mask =
       List.fold_left (fun m (i, _) -> m lor (1 lsl (i land 61))) 0 groups
     in
@@ -1519,37 +1420,20 @@ module Make (P : SHARD_PTM) = struct
   (* ---- admission control ----
 
      Every cross-shard batch is charged its per-shard mirror footprint
-     (the exact inline-encoded payload length) against a volatile
-     per-shard in-flight budget *before any persistent effect*.  A batch
-     that cannot fit spins through a bounded backoff and then fails with
-     the typed [Overloaded] — raised directly, not wrapped in
-     [Tx_aborted], because nothing was written.  A single batch larger
-     than the whole budget fails immediately: no backoff can help it. *)
-
-  let backoff_spin round =
-    for _ = 1 to (round + 1) * 64 do
-      Domain.cpu_relax ()
-    done
+     (the encoded payload length) against a volatile per-shard in-flight
+     budget *before any persistent effect*.  A batch that does not fit
+     fails at once with the typed [Overloaded] — raised directly, not
+     wrapped in [Tx_aborted], because nothing was written.  Retrying is
+     the caller's choice ({!with_overload_retry}). *)
 
   let admit t charges =
     let budget = t.proto.config.admission_budget in
     let infl = t.proto.in_flight in
-    let rec attempt round =
-      match
-        List.find_opt (fun (i, c) -> infl.(i) + c > budget) charges
-      with
-      | None -> List.iter (fun (i, c) -> infl.(i) <- infl.(i) + c) charges
-      | Some (i, c) ->
-        if round < admission_retries && c <= budget then begin
-          backoff_spin round;
-          attempt (round + 1)
-        end
-        else begin
-          tick_overload (raw t i);
-          raise (Overloaded { shard = i; in_flight = infl.(i); budget })
-        end
-    in
-    attempt 0
+    match List.find_opt (fun (i, c) -> infl.(i) + c > budget) charges with
+    | None -> List.iter (fun (i, c) -> infl.(i) <- infl.(i) + c) charges
+    | Some (i, _) ->
+      tick_overload (raw t i);
+      raise (Overloaded { shard = i; in_flight = infl.(i); budget })
 
   let release t charges =
     let infl = t.proto.in_flight in
@@ -2258,10 +2142,12 @@ module Make (P : SHARD_PTM) = struct
            mirror is made durable: a batch never partially lands on the
            healthy subset of its shards *)
         List.iter (fun (i, _) -> ignore (rw t i : shard)) groups;
+        (* the charge is each participant's payload length now; PREPARE
+           encodes the payload again when it reads its undo images *)
         let charges =
           List.map
             (fun (i, slice) ->
-              (i, mirror_payload_len ~ops:slice ~undo:(undo_of t slice)))
+              (i, String.length (fst (encode_slice t slice))))
             groups
         in
         admit t charges;
@@ -2414,7 +2300,10 @@ module Make (P : SHARD_PTM) = struct
                 let payload =
                   P.read_tx s.p (fun () -> read_payload_in_tx s head)
                 in
-                let nshards, _, _ = decode_mirror payload in
+                let committed = Hashtbl.mem flips (coord, id) in
+                let nshards, _, _ =
+                  decode_mirror ~replay:(not committed) payload
+                in
                 (* mirrors may predate a split; only more-than-attached
                    is corrupt *)
                 if nshards <= 0 || nshards > n then
@@ -2423,7 +2312,7 @@ module Make (P : SHARD_PTM) = struct
                        (Printf.sprintf
                           "sharded mirror names %d shards, store has %d"
                           nshards n));
-                if Hashtbl.mem flips (coord, id) then begin
+                if committed then begin
                   (* committed: the slice is already applied *)
                   P.update_tx s.p (fun () -> unhook_mirror s.p head);
                   tick_forward s
@@ -2799,7 +2688,6 @@ module Make (P : SHARD_PTM) = struct
 
   let open_db ?(initial_buckets = 1024)
       ?(chunk_bytes = default_chunk_bytes)
-      ?(spill_threshold = default_spill_threshold)
       ?(admission_budget = default_admission_budget)
       ?(clear_flush_threshold = default_clear_flush_threshold) regions =
     if Array.length regions = 0 then raise (Invalid_shards 0);
@@ -2809,8 +2697,6 @@ module Make (P : SHARD_PTM) = struct
       invalid_arg
         (Printf.sprintf "Sharded_db.open_db: chunk_bytes %d < minimum %d"
            chunk_bytes min_chunk_bytes);
-    if spill_threshold <= 0 then
-      invalid_arg "Sharded_db.open_db: spill_threshold must be positive";
     if admission_budget <= 0 then
       invalid_arg "Sharded_db.open_db: admission_budget must be positive";
     if clear_flush_threshold <= 0 then
@@ -2862,8 +2748,7 @@ module Make (P : SHARD_PTM) = struct
         health_arr.(i) <- Quarantined (Open_failed (Printexc.to_string e))
     done;
     let config =
-      { initial_buckets; chunk_bytes; spill_threshold; admission_budget;
-        clear_flush_threshold }
+      { initial_buckets; chunk_bytes; admission_budget; clear_flush_threshold }
     in
     let proto =
       { config; next_batch_id = 1; pending = Hashtbl.create 16;
@@ -2919,8 +2804,8 @@ module Make (P : SHARD_PTM) = struct
           (Pmem.Region.shard_snapshot_path base ~shard:i))
       t.region_arr
 
-  let open_from_files ?fence ?initial_buckets ?chunk_bytes
-      ?spill_threshold ?admission_budget ?clear_flush_threshold ~shards base =
+  let open_from_files ?fence ?initial_buckets ?chunk_bytes ?admission_budget
+      ?clear_flush_threshold ~shards base =
     if shards <= 0 then raise (Invalid_shards shards);
     (* validate the requested count against the file family before any
        region is opened: a snapshot family saved by an elastic store has
@@ -2948,8 +2833,8 @@ module Make (P : SHARD_PTM) = struct
           | Pmem.Region.Crash_point as e -> raise e
           | e -> raise (Shard_open_failed { shard = i; cause = e }))
     in
-    open_db ?initial_buckets ?chunk_bytes ?spill_threshold
-      ?admission_budget ?clear_flush_threshold regions
+    open_db ?initial_buckets ?chunk_bytes ?admission_budget
+      ?clear_flush_threshold regions
 end
 
 (* The default sharded store: RomulusLog per shard, as in RomulusDB. *)

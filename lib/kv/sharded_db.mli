@@ -23,22 +23,20 @@
       its batch is gone, so the steady-state extra cost of a cross-shard
       batch is the single coordinator flip.
 
-    Mirror payloads are {e chunked}: a payload that fits one
+    Mirror payloads are {e chunked}, and the chunk chain is the only
+    home of a participant's ops and undo images: a payload that fits one
     [chunk_bytes] allocation rides the single PREPARE transaction as
     before, while a larger one streams as a linked chain of bounded,
     CRC-32-protected chunk records — one engine transaction each — made
     valid only by a final {e seal} transaction that flips the mirror's
     seal word and applies the slice in the same transaction.  Unsealed
     chains are presumed-abort garbage that recovery (or the inline abort
-    path) collects without decoding a byte.  Undo images larger than
-    [spill_threshold] are spilled into their own CRC-protected records
-    and referenced from the payload, so rollback data for very large
-    values never inflates the payload chain.  Graceful degradation is
+    path) collects without decoding a byte.  Graceful degradation is
     governed by per-shard admission control: each cross-shard batch is
     charged its encoded payload bytes against [admission_budget] before
-    any persistent effect, and an overloaded shard fails the batch with
-    the typed {!Overloaded} (after a bounded backoff) rather than
-    surfacing [Palloc.Out_of_memory]; a redo-log overflow mid-PREPARE
+    any persistent effect, and an overloaded shard fails the batch at
+    once with the typed {!Overloaded} rather than surfacing
+    [Palloc.Out_of_memory]; a redo-log overflow mid-PREPARE
     aborts cleanly and retries the batch with smaller chunks (and a
     piggybacked lazy-CLEAR drain that overflows a protocol transaction
     is dropped from it — the records stay parked — rather than failing
@@ -48,11 +46,14 @@
     resolved against its coordinator's flip — flip present means the
     batch committed (the slice is already applied, the mirror is just
     reclaimed); flip absent means the batch aborted, and the mirror's
-    still-valid undo images are rolled back (chunk chain and spilled
-    images re-verified against their CRCs; unsealed chains collected).
-    Crash-during-recovery is idempotent.  A store still holding a batch
-    intent of the retired centralized (shard-0) protocol is refused at
-    open with {!Shard_open_failed} on shard 0 rather than replayed.
+    still-valid undo images are rolled back (the chunk chain re-verified
+    against its CRCs; unsealed chains collected).  Crash-during-recovery
+    is idempotent.  A store still holding a batch intent of the retired
+    centralized (shard-0) protocol is refused at open with
+    {!Shard_open_failed} on shard 0 rather than replayed, and a
+    presumed-abort rollback that would replay an undo image spilled out
+    of the chain (a retired format) fails reconciliation with a
+    [Recovery_error] naming it.
 
     Isolation caveat: a cross-shard batch is crash-atomic and its shards
     individually linearizable, but concurrent readers may observe the
@@ -67,10 +68,9 @@ exception Invalid_shards of int
 
 (** Raised by a cross-shard batch refused by admission control: shard
     [shard] already has [in_flight] payload bytes inside the commit
-    protocol and the batch's charge would exceed [budget].  Raised
-    before any persistent effect (never wrapped in [Tx_aborted]), after
-    a bounded backoff — immediately when the batch alone exceeds the
-    budget. *)
+    protocol and the batch's charge would exceed [budget].  Raised at
+    once, before any persistent effect (never wrapped in [Tx_aborted]);
+    {!with_overload_retry} is the retry. *)
 exception Overloaded of { shard : int; in_flight : int; budget : int }
 
 (** Raised by [open_from_files] when [shards] disagrees with the snapshot
@@ -154,7 +154,6 @@ val with_overload_retry :
 val min_chunk_bytes : int
 
 val default_chunk_bytes : int
-val default_spill_threshold : int
 val default_admission_budget : int
 val default_clear_flush_threshold : int
 
@@ -209,23 +208,23 @@ module Make (P : SHARD_PTM) : sig
 
       [chunk_bytes] (default {!default_chunk_bytes}) bounds each mirror
       payload chunk — and therefore each streamed PREPARE transaction;
-      [spill_threshold] (default {!default_spill_threshold}) is the
-      undo-image size above which the pre-image is spilled into its own
-      record; [admission_budget] (default {!default_admission_budget})
-      caps each shard's in-flight cross-shard payload bytes (see
-      {!Overloaded}); [clear_flush_threshold] (default
+      [admission_budget] (default {!default_admission_budget}) caps each
+      shard's in-flight cross-shard payload bytes (see {!Overloaded});
+      [clear_flush_threshold] (default
       {!default_clear_flush_threshold}) bounds the lazy-CLEAR queues
       (see {!val-flush_clears}).
 
       Raises {!Invalid_shards} on an empty array, {!Shard_open_failed}
       when shard 0 cannot be opened or holds a legacy centralized batch
-      intent, {!Romulus_db.Invalid_buckets} when [initial_buckets] is
-      not positive, and [Invalid_argument] when [chunk_bytes] is below
+      intent, [Romulus.Engine.Recovery_error] when a hooked mirror is
+      corrupt or its presumed-abort rollback would replay an undo image
+      in the retired spilled format,
+      {!Romulus_db.Invalid_buckets} when [initial_buckets] is not
+      positive, and [Invalid_argument] when [chunk_bytes] is below
       {!min_chunk_bytes} or another knob is not positive. *)
   val open_db :
     ?initial_buckets:int ->
     ?chunk_bytes:int ->
-    ?spill_threshold:int ->
     ?admission_budget:int ->
     ?clear_flush_threshold:int ->
     Pmem.Region.t array ->
@@ -464,7 +463,6 @@ module Make (P : SHARD_PTM) : sig
     ?fence:Pmem.Fence.profile ->
     ?initial_buckets:int ->
     ?chunk_bytes:int ->
-    ?spill_threshold:int ->
     ?admission_budget:int ->
     ?clear_flush_threshold:int ->
     shards:int ->

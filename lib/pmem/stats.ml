@@ -39,7 +39,6 @@ type t = {
   mutable rolled_forward : int;
   mutable rolled_back : int;
   mutable chunks_written : int;
-  mutable chunks_spilled : int;
   mutable overload_rejections : int;
   mutable clear_flushes : int;
   mutable migrations_started : int;
@@ -71,7 +70,7 @@ let create () =
     tx_aborts = 0; scrubbed_lines = 0; repaired_lines = 0;
     unrepairable_lines = 0; media_errors = 0; intent_prepares = 0;
     coordinator_flips = 0; lazy_clears = 0; rolled_forward = 0;
-    rolled_back = 0; chunks_written = 0; chunks_spilled = 0;
+    rolled_back = 0; chunks_written = 0;
     overload_rejections = 0; clear_flushes = 0; migrations_started = 0;
     migrations_resumed = 0; migrations_completed = 0; keys_migrated = 0;
     double_reads = 0; health_degraded = 0; health_quarantined = 0;
@@ -87,7 +86,7 @@ let reset t =
   t.tx_aborts <- 0; t.scrubbed_lines <- 0; t.repaired_lines <- 0;
   t.unrepairable_lines <- 0; t.media_errors <- 0; t.intent_prepares <- 0;
   t.coordinator_flips <- 0; t.lazy_clears <- 0; t.rolled_forward <- 0;
-  t.rolled_back <- 0; t.chunks_written <- 0; t.chunks_spilled <- 0;
+  t.rolled_back <- 0; t.chunks_written <- 0;
   t.overload_rejections <- 0; t.clear_flushes <- 0;
   t.migrations_started <- 0; t.migrations_resumed <- 0;
   t.migrations_completed <- 0; t.keys_migrated <- 0; t.double_reads <- 0;
@@ -127,7 +126,6 @@ let since ~now ~past =
     rolled_forward = now.rolled_forward - past.rolled_forward;
     rolled_back = now.rolled_back - past.rolled_back;
     chunks_written = now.chunks_written - past.chunks_written;
-    chunks_spilled = now.chunks_spilled - past.chunks_spilled;
     overload_rejections = now.overload_rejections - past.overload_rejections;
     clear_flushes = now.clear_flushes - past.clear_flushes;
     migrations_started = now.migrations_started - past.migrations_started;
@@ -184,7 +182,6 @@ let aggregate ts =
       a.rolled_forward <- a.rolled_forward + t.rolled_forward;
       a.rolled_back <- a.rolled_back + t.rolled_back;
       a.chunks_written <- a.chunks_written + t.chunks_written;
-      a.chunks_spilled <- a.chunks_spilled + t.chunks_spilled;
       a.overload_rejections <- a.overload_rejections + t.overload_rejections;
       a.clear_flushes <- a.clear_flushes + t.clear_flushes;
       a.migrations_started <- a.migrations_started + t.migrations_started;
@@ -236,7 +233,7 @@ let pp ppf t =
      loaded=%dB copies=%d replicated=%dB commits=%d amp=%.2f delay=%dns \
      crashes=%d aborts=%d scrubbed=%d repaired=%d unrepairable=%d \
      media_errors=%d prepares=%d flips=%d lazy_clears=%d fwd=%d back=%d \
-     chunks=%d spilled=%d overloads=%d clear_flushes=%d \
+     chunks=%d overloads=%d clear_flushes=%d \
      migrations=%d/%d/%d keys_migrated=%d double_reads=%d \
      health=%d/%d/%d repair_attempts=%d restores=%d evacuated=%d/%dkeys \
      unavailable=%d groups=%d group_size=%d/max%d fences_saved=%d \
@@ -246,7 +243,7 @@ let pp ppf t =
     (write_amplification t) t.delay_ns t.crashes t.tx_aborts
     t.scrubbed_lines t.repaired_lines t.unrepairable_lines t.media_errors
     t.intent_prepares t.coordinator_flips t.lazy_clears t.rolled_forward
-    t.rolled_back t.chunks_written t.chunks_spilled t.overload_rejections
+    t.rolled_back t.chunks_written t.overload_rejections
     t.clear_flushes t.migrations_started t.migrations_resumed
     t.migrations_completed t.keys_migrated t.double_reads
     t.health_degraded t.health_quarantined t.health_repaired

@@ -25,7 +25,6 @@ type t = {
   mutable rolled_forward : int;     (** intents resolved as committed during reconciliation *)
   mutable rolled_back : int;        (** intents resolved by presumed-abort rollback (recovery or runtime abort) *)
   mutable chunks_written : int;      (** mirror payload chunks made durable (incl. the single-chunk fast path) *)
-  mutable chunks_spilled : int;      (** oversized undo images spilled out of the inline payload *)
   mutable overload_rejections : int; (** batches refused by per-shard admission control *)
   mutable clear_flushes : int;       (** dedicated lazy-CLEAR flush transactions (threshold or explicit) *)
   mutable migrations_started : int;   (** shard split/merge intents made durable *)

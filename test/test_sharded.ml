@@ -19,13 +19,20 @@ let region ?(size = 1 lsl 18) () = R.create ~size ()
 let regions ?size n = Array.init n (fun _ -> region ?size ())
 
 let open_sharded ?(shards = 4) ?(initial_buckets = 8) ?size ?chunk_bytes
-    ?spill_threshold ?admission_budget ?clear_flush_threshold () =
+    ?admission_budget ?clear_flush_threshold () =
   let rs = regions ?size shards in
   ( rs,
-    Sd.open_db ~initial_buckets ?chunk_bytes ?spill_threshold
-      ?admission_budget ?clear_flush_threshold rs )
+    Sd.open_db ~initial_buckets ?chunk_bytes ?admission_budget
+      ?clear_flush_threshold rs )
 
 let crash_all rs policy = Array.iter (fun r -> R.crash r policy) rs
+
+let contains s needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = needle || go (i + 1))
+  in
+  go 0
 
 (* every test must leave the global failpoint registry clean *)
 let with_disarm f =
@@ -285,6 +292,11 @@ let d_participants db =
   List.sort_uniq compare
     (List.map (fun (k, _) -> Sd.shard_of_key db k) batch_ops)
 
+(* a key of [batch_ops] on its [n]th participant *)
+let batch_key_on db n =
+  let shard = List.nth (d_participants db) n in
+  fst (List.find (fun (k, _) -> Sd.shard_of_key db k = shard) batch_ops)
+
 let test_d_runtime_abort () =
   with_disarm @@ fun () ->
   let _, db = open_sharded () in
@@ -413,13 +425,122 @@ let test_legacy_intent_refused () =
         Kv.Sharded_db.Shard_open_failed
           { shard; cause = Romulus.Engine.Recovery_error msg } ->
       Alcotest.(check int) "refusal names shard 0" 0 shard;
-      let needle = "centralized batch intent (protocol removed)" in
-      let rec has i =
-        i + String.length needle <= String.length msg
-        && (String.sub msg i (String.length needle) = needle || has (i + 1))
-      in
-      if not (has 0) then Alcotest.failf "unexpected refusal cause: %s" msg
+      if not (contains msg "centralized batch intent (protocol removed)") then
+        Alcotest.failf "unexpected refusal cause: %s" msg
   done
+
+(* A crashed 12-key store with a mirror planted on shard 0 in the
+   retired spilled-undo layout: header (next | id | coordinator | mask |
+   sealed | payload length | chunk head | spill head), one spill record
+   holding a pre-image, and — for a sealed mirror — one chunk whose
+   payload references that record with the retired image tag '\002'.
+   [valid] is that undo entry's validity byte; [committed] also plants
+   the batch's flip on shard 0, its coordinator.  Returns the regions
+   and the spill record's offset. *)
+let plant_spilled_mirror ?(valid = true) ?(committed = false) ~sealed () =
+  let rs, db = open_sharded () in
+  seed db 12;
+  crash_all rs R.Drop_all;
+  let module L = Romulus.Logged in
+  let p = L.open_region rs.(0) in
+  let record bytes =
+    let len = String.length bytes in
+    let o = L.alloc p (24 + len) in
+    L.store p o 0;
+    L.store p (o + 8) len;
+    L.store p (o + 16) (Kv.Sharded_db.Chunk.crc bytes);
+    L.store_bytes p (o + 24) bytes;
+    o
+  in
+  let spill =
+    L.update_tx p (fun () ->
+        let image = String.make 200 'p' in
+        let spill = record image in
+        let payload =
+          let b = Buffer.create 128 in
+          let int n = Buffer.add_int64_le b (Int64.of_int n) in
+          let str v = int (String.length v); Buffer.add_string b v in
+          int 4;
+          (* one op: put legacy := "new" *)
+          int 1; str "legacy"; Buffer.add_char b '\001'; str "new";
+          (* one live undo entry whose image was spilled *)
+          int 1; Buffer.add_char b (if valid then '\001' else '\000');
+          str "legacy";
+          Buffer.add_char b '\002'; int spill; int (String.length image);
+          Buffer.contents b
+        in
+        let mirror_slot = Romulus.Ptm_intf.root_slots - 2 in
+        let m = L.alloc p 64 in
+        L.store p m (L.get_root p mirror_slot);
+        L.store p (m + 8) 1;
+        L.store p (m + 16) 0;
+        L.store p (m + 24) 0b11;
+        L.store p (m + 32) (if sealed then 1 else 0);
+        L.store p (m + 40) (if sealed then String.length payload else 0);
+        L.store p (m + 48) (if sealed then record payload else 0);
+        L.store p (m + 56) spill;
+        L.set_root p mirror_slot m;
+        if committed then begin
+          let flip_slot = Romulus.Ptm_intf.root_slots - 3 in
+          let f = L.alloc p 24 in
+          L.store p f (L.get_root p flip_slot);
+          L.store p (f + 8) 1;
+          L.store p (f + 16) 0b11;
+          L.set_root p flip_slot f
+        end;
+        spill)
+  in
+  crash_all rs R.Drop_all;
+  (rs, spill)
+
+(* Lazy CLEAR leaves committed mirrors hooked, so a store saved before
+   undo spills were retired can hold a sealed mirror whose undo image
+   was spilled.  That image is no longer resolved: reconciliation must
+   refuse the mirror by name, every time, not report it as truncated. *)
+let test_legacy_spilled_mirror_refused () =
+  let rs, _ = plant_spilled_mirror ~sealed:true () in
+  for attempt = 1 to 2 do
+    match Sd.open_db ~initial_buckets:8 rs with
+    | _ -> Alcotest.failf "attempt %d: opened over a spilled mirror" attempt
+    | exception Romulus.Engine.Recovery_error msg ->
+      if not (contains msg "retired spilled-image format") then
+        Alcotest.failf "unexpected refusal cause: %s" msg
+  done
+
+(* open over a planted legacy mirror that must be collected, with its
+   spill list, without touching the planted slice or the seed keys *)
+let assert_legacy_collected what (rs, spill) =
+  let db = Sd.open_db ~initial_buckets:8 rs in
+  Alcotest.(check int) (what ^ ": collected") 0 (Sd.pending_intents db);
+  check_ok what db;
+  Alcotest.(check (option string)) (what ^ ": slice never applied") None
+    (Sd.get db "legacy");
+  for i = 0 to 11 do
+    if Sd.get db (key i) <> Some (value i) then
+      Alcotest.failf "%s: lost committed key %s" what (key i)
+  done;
+  (* the spill record went with the mirror: freeing it again is refused *)
+  crash_all rs R.Drop_all;
+  let p = Romulus.Logged.open_region rs.(0) in
+  match Romulus.Logged.update_tx p (fun () -> Romulus.Logged.free p spill) with
+  | () -> Alcotest.failf "%s: the legacy spill record was leaked" what
+  | exception
+      Romulus.Engine.Tx_aborted { cause = Palloc.Invalid_free _; _ } -> ()
+
+(* An unsealed legacy shell never applied its slice, so it is collected
+   without decoding a byte — its spill list included. *)
+let test_legacy_unsealed_spills_collected () =
+  assert_legacy_collected "legacy unsealed shell"
+    (plant_spilled_mirror ~sealed:false ())
+
+(* A spilled image that nothing replays does not block the store: a
+   committed mirror is only unhooked, and a presumed-abort rollback
+   skips an invalidated entry. *)
+let test_legacy_unreplayed_spill_collected () =
+  assert_legacy_collected "legacy committed mirror"
+    (plant_spilled_mirror ~committed:true ~sealed:true ());
+  assert_legacy_collected "legacy invalidated entry"
+    (plant_spilled_mirror ~valid:false ~sealed:true ())
 
 (* crash in the middle of the reconciliation pass itself: the next
    recovery must converge to the same all-or-nothing verdict *)
@@ -451,14 +572,18 @@ let test_d_crash_during_reconciliation () =
    abort) nor recovery (crash) may overwrite it with the stale
    pre-image. *)
 
-let assert_raced_rollback what db =
+let assert_raced_rollback ?(raced = key 1) what db =
   check_ok what db;
   Alcotest.(check (option string)) (what ^ ": racing write survives")
-    (Some "raced") (Sd.get db (key 1));
+    (Some "raced") (Sd.get db raced);
   List.iter
     (fun (k, _) ->
-      if k <> key 1 then begin
-        let want = if k = key 2 then Some (value 2) else None in
+      if k <> raced then begin
+        let want =
+          if k = key 1 then Some (value 1)
+          else if k = key 2 then Some (value 2)
+          else None
+        in
         if Sd.get db k <> want then
           Alcotest.failf "%s: batch key %s not rolled back" what k
       end)
@@ -468,40 +593,52 @@ let assert_raced_rollback what db =
       Alcotest.failf "%s: lost committed key %s" what (key i)
   done
 
-let test_d_lost_update_runtime_abort () =
-  with_disarm @@ fun () ->
-  let _, db = open_sharded () in
-  seed db 12;
-  let nparts = List.length (d_participants db) in
-  (* once every mirror is hooked (all undo images pending), overwrite
-     key 1 from outside the batch, then poison the batch *)
-  Fault.arm ~skip:(nparts - 1) "sharded.d.mirror_applied" (fun () ->
-      Sd.put db (key 1) "raced";
-      raise (Fault.Injected "raced"));
-  (match run_batch db with
-   | () -> Alcotest.fail "injected fault did not surface"
-   | exception Romulus.Engine.Tx_aborted { cause = Fault.Injected _; _ } -> ());
-  assert_raced_rollback "lost-update (runtime abort)" db;
-  Alcotest.(check int) "no record left hooked" 0 (Sd.pending_intents db)
-
-let test_d_lost_update_crash_recovery () =
+(* Run [batch_ops] over [seed db 12].  At mirror hook [race_at db] a
+   single-key put writes "raced" to [raced db] from outside the batch;
+   [abort_at] hooks later (0: the same hook) the batch dies, by a kill
+   of the coordinator ([crash]) or an injected fault.  The batch must
+   roll back around the racing write, inline or in recovery. *)
+let check_raced_abort ~crash ?(raced = fun _ -> key 1) ~race_at ~abort_at
+    what =
   with_disarm @@ fun () ->
   let rs, db = open_sharded () in
   seed db 12;
-  let nparts = List.length (d_participants db) in
+  let raced = raced db in
   let coord = List.hd (d_participants db) in
-  (* same race, but the batch dies before its flip: recovery's presumed
-     abort must honor the invalidated undo entry *)
-  Fault.arm ~skip:(nparts - 1) "sharded.d.mirror_applied" (fun () ->
-      Sd.put db (key 1) "raced";
-      R.kill rs.(coord));
-  (match run_batch db with
-   | () -> Alcotest.fail "kill did not fire"
-   | exception R.Crash_point -> ());
-  crash_all rs R.Drop_all;
-  let db = Sd.open_db ~initial_buckets:8 rs in
-  assert_raced_rollback "lost-update (crash recovery)" db;
-  Alcotest.(check int) "mirrors reclaimed" 0 (Sd.pending_intents db)
+  let abort () =
+    if crash then R.kill rs.(coord) else raise (Fault.Injected "raced")
+  in
+  Fault.arm ~skip:(race_at db) "sharded.d.mirror_applied" (fun () ->
+      Sd.put db raced "raced";
+      if abort_at = 0 then abort ()
+      else Fault.arm ~skip:(abort_at - 1) "sharded.d.mirror_applied" abort);
+  let db =
+    match run_batch db with
+    | () -> Alcotest.failf "%s: the batch committed" what
+    | exception R.Crash_point when crash ->
+      crash_all rs R.Drop_all;
+      Sd.open_db ~initial_buckets:8 rs
+    | exception Romulus.Engine.Tx_aborted { cause = Fault.Injected _; _ }
+      when not crash ->
+      db
+  in
+  assert_raced_rollback ~raced what db;
+  Alcotest.(check int) (what ^ ": nothing left hooked") 0
+    (Sd.pending_intents db)
+
+(* once every mirror is hooked (all undo images pending), overwrite
+   key 1 from outside the batch, then poison the batch — or kill it
+   before its flip, so recovery's presumed abort must honor the
+   invalidated undo entry *)
+let last_hook db = List.length (d_participants db) - 1
+
+let test_d_lost_update_runtime_abort () =
+  check_raced_abort ~crash:false ~race_at:last_hook ~abort_at:0
+    "lost-update (runtime abort)"
+
+let test_d_lost_update_crash_recovery () =
+  check_raced_abort ~crash:true ~race_at:last_hook ~abort_at:0
+    "lost-update (crash recovery)"
 
 (* ---- recovery: parallel fan-out, idempotence, crashes within ---- *)
 
@@ -711,7 +848,7 @@ let test_snapshot_roundtrip () =
             Alcotest.failf "snapshot diverged at %s" k);
       check_ok "snapshot" db2)
 
-(* ---- chunked mirror streaming, spills, admission control ---- *)
+(* ---- chunked mirror streaming, admission control ---- *)
 
 module Ck = Kv.Sharded_db.Chunk
 
@@ -787,9 +924,9 @@ let test_chunk_chain_rejections () =
   | _ -> Alcotest.fail "chunk_bytes = 0 accepted"
   | exception Invalid_argument _ -> ()
 
-(* six keys whose 700-byte pre-images force both streaming (payload >
-   chunk_bytes) and spilling (undo image > spill_threshold) at the
-   256/128 test configuration *)
+(* six keys whose 700-byte pre-images, carried inline as undo images,
+   force every participant's payload to stream as a multi-chunk chain at
+   chunk_bytes=256 *)
 let big_keys = List.init 6 (fun i -> Printf.sprintf "big%02d" i)
 
 let seed_big db = List.iter (fun k -> Sd.put db k (big_value 3 700)) big_keys
@@ -802,7 +939,7 @@ let big_participants db =
   List.sort_uniq compare (List.map (Sd.shard_of_key db) big_keys)
 
 let test_chunked_batch_commits () =
-  let _, db = open_sharded ~chunk_bytes:256 ~spill_threshold:128 () in
+  let _, db = open_sharded ~chunk_bytes:256 () in
   seed db 12;
   seed_big db;
   let parts = big_participants db in
@@ -816,10 +953,8 @@ let test_chunked_batch_commits () =
   let st = Sd.stats db in
   Alcotest.(check bool) "payloads streamed as multiple chunks" true
     (st.Pmem.Stats.chunks_written > List.length parts);
-  Alcotest.(check bool) "every oversized undo image spilled" true
-    (st.Pmem.Stats.chunks_spilled >= List.length big_keys);
   check_ok "chunked batch" db;
-  (* chains, spills, mirrors and the flip are all reclaimable *)
+  (* chains, mirrors and the flip are all reclaimable *)
   Sd.flush_clears db;
   Alcotest.(check int) "records reclaimed" 0 (Sd.pending_intents db);
   for i = 0 to 11 do
@@ -832,7 +967,7 @@ let test_chunked_batch_commits () =
    or the rollback's chain read would reject its own mirror *)
 let test_chunked_racing_invalidation () =
   with_disarm @@ fun () ->
-  let _, db = open_sharded ~chunk_bytes:256 ~spill_threshold:128 () in
+  let _, db = open_sharded ~chunk_bytes:256 () in
   seed db 12;
   seed_big db;
   let parts = big_participants db in
@@ -849,7 +984,7 @@ let test_chunked_racing_invalidation () =
   List.iter
     (fun k ->
       if k <> raced && Sd.get db k <> Some (big_value 3 700) then
-        Alcotest.failf "%s not restored from its spilled image" k)
+        Alcotest.failf "%s not restored from its undo image" k)
     big_keys;
   check_ok "chunked racing invalidation" db;
   Alcotest.(check int) "no record left hooked" 0 (Sd.pending_intents db)
@@ -966,8 +1101,8 @@ let test_admission_overload_concurrent () =
   let ka, kb = span_keys (Sd.shard_of_key db) in
   let inner = ref None in
   (* while the outer batch holds ~650 in-flight bytes per shard, a
-     second batch needing ~1650 more must be refused after its bounded
-     backoff — typed Overloaded, never Out_of_memory *)
+     second batch needing ~1650 more must be refused at once — typed
+     Overloaded, never Out_of_memory *)
   Fault.arm "sharded.d.mirror_applied" (fun () ->
       (match
          Sd.write_batch db (fun b ->
@@ -1093,6 +1228,90 @@ let test_overflow_retry_injected () =
     (List.length (d_participants db) + 1)
     (Sd.pending_intents db)
 
+(* A single-key write races an attempt that then overflows the redo
+   log.  The retry must take its undo images after that attempt's
+   rollback: when the retry aborts too, its rollback has to restore the
+   raced value, not the one from before the race. *)
+let test_overflow_retry_keeps_racing_write () =
+  with_disarm @@ fun () ->
+  let _, db = open_sharded () in
+  seed db 12;
+  let raced = batch_key_on db 0 in
+  Fault.arm "sharded.d.mirror_applied" (fun () ->
+      Sd.put db raced "raced";
+      Fault.arm "sharded.d.mirror_applied" (fun () ->
+          raise (Fault.Injected "retry"));
+      raise (Romulus.Redo_log.Overflow { capacity = 42 }));
+  (match run_batch db with
+   | () -> Alcotest.fail "the retry's injected fault did not surface"
+   | exception Romulus.Engine.Tx_aborted { cause = Fault.Injected _; _ } -> ());
+  assert_raced_rollback ~raced "overflow retry race" db;
+  Alcotest.(check int) "nothing left hooked" 0 (Sd.pending_intents db)
+
+(* A single-key write lands on a key of the second participant after the
+   first participant's PREPARE.  That key is not pending yet, so only
+   the second participant's own undo image can protect it: the image
+   must be taken when that participant prepares, or the batch's abort
+   (inline or by recovery) restores the value from before the race. *)
+let test_later_participant_race () =
+  List.iter
+    (fun crash ->
+      check_raced_abort ~crash
+        ~raced:(fun db -> batch_key_on db 1)
+        ~race_at:(fun _ -> 0) ~abort_at:1
+        (if crash then "crash recovery" else "runtime abort"))
+    [ false; true ]
+
+let shape_deltas db f =
+  let rs = Sd.regions db in
+  let before = Array.map (fun r -> Pmem.Stats.snapshot (R.stats r)) rs in
+  f ();
+  Array.mapi (fun i r -> Pmem.Stats.since ~now:(R.stats r) ~past:before.(i)) rs
+
+(* The PREPARE transaction shape, pinned on engine commits.  A one-piece
+   payload costs one transaction per participant; a streamed one costs a
+   shell, one transaction per chunk and the seal.  The coordinator adds
+   the flip. *)
+let test_prepare_tx_shape () =
+  let _, db = open_sharded ~shards:2 () in
+  let ka, kb = span_keys (Sd.shard_of_key db) in
+  let d =
+    shape_deltas db (fun () ->
+        Sd.write_batch db (fun b ->
+            Sd.put b ka "a";
+            Sd.put b kb "b"))
+  in
+  let sum f = Array.fold_left (fun a st -> a + f st) 0 d in
+  Alcotest.(check int) "small batch: participants + 1 commits" 3
+    (sum (fun st -> st.Pmem.Stats.commits));
+  Alcotest.(check int) "small batch: one prepare per participant" 2
+    (sum (fun st -> st.Pmem.Stats.intent_prepares));
+  let _, db = open_sharded ~chunk_bytes:256 () in
+  seed_big db;
+  let coord = List.hd (big_participants db) in
+  let d = shape_deltas db (fun () -> overwrite_big_batch db) in
+  Array.iteri
+    (fun i st ->
+      let n =
+        List.length (List.filter (fun k -> Sd.shard_of_key db k = i) big_keys)
+      in
+      (* payload: shard count, n ops of key (5 B) and 900-byte value, n
+         undo entries of validity byte, key and 700-byte pre-image *)
+      let plen =
+        8 + 8 + (n * (8 + 5 + 1 + 8 + 900))
+        + 8 + (n * (1 + 8 + 5 + 1 + 8 + 700))
+      in
+      let chunks = if n = 0 then 0 else (plen + 255) / 256 in
+      let what = Printf.sprintf "shard %d" i in
+      Alcotest.(check int) (what ^ ": chunks") chunks
+        st.Pmem.Stats.chunks_written;
+      Alcotest.(check int) (what ^ ": prepares") (min n 1)
+        st.Pmem.Stats.intent_prepares;
+      Alcotest.(check int) (what ^ ": commits")
+        (if n = 0 then 0 else chunks + 2 + if i = coord then 1 else 0)
+        st.Pmem.Stats.commits)
+    d
+
 (* the same degradation against a genuinely tight redo log: the
    single-transaction fast path exceeds the capacity, the streamed
    chunks fit *)
@@ -1168,15 +1387,16 @@ let test_flush_clears () =
   Alcotest.(check bool) "data intact after auto-flush" true
     (assert_all_or_nothing "auto flush" db2)
 
-(* random crash points over a chunked+spilled cross-shard batch: the
-   chain-level all-or-nothing must hold under every policy *)
+(* random crash points over a chunked cross-shard batch whose large undo
+   images ride the chain: the chain-level all-or-nothing must hold under
+   every policy *)
 let prop_chunked_crash_batch =
   let open QCheck in
   Test.make ~count:25
     ~name:"sharded: crashed chunked batch is atomic"
     (triple small_nat (int_bound 3) (int_bound 3))
     (fun (trap, pol, target) ->
-      let rs, db = open_sharded ~chunk_bytes:256 ~spill_threshold:128 () in
+      let rs, db = open_sharded ~chunk_bytes:256 () in
       seed db 12;
       seed_big db;
       R.set_trap rs.(target) ((trap * 7) + 1);
@@ -1191,9 +1411,7 @@ let prop_chunked_crash_batch =
         | _ -> R.Torn_words (trap + 13)
       in
       crash_all rs policy;
-      let db =
-        Sd.open_db ~initial_buckets:8 ~chunk_bytes:256 ~spill_threshold:128 rs
-      in
+      let db = Sd.open_db ~initial_buckets:8 ~chunk_bytes:256 rs in
       check_ok "chunked qcheck" db;
       let applied = Sd.get db (List.hd big_keys) = Some (big_value 9 900) in
       List.iter
@@ -2316,7 +2534,7 @@ let suite =
     tc "scrub salvages double fault" `Quick test_scrub_salvages_double_fault;
     tc "snapshot round trip" `Quick test_snapshot_roundtrip;
     tc "chunk chain rejections" `Quick test_chunk_chain_rejections;
-    tc "chunked batch commits with spilled undo" `Quick
+    tc "chunked batch commits with large undo images" `Quick
       test_chunked_batch_commits;
     tc "chunked racing invalidation refreshes CRC" `Quick
       test_chunked_racing_invalidation;
@@ -2378,5 +2596,17 @@ let suite =
         prop_chunked_crash_batch; prop_epoch0_matches_fnv;
         prop_route_stable_across_reopen; prop_route_uniform;
         prop_scrub_attribution; prop_group_watermark ]
+  (* later additions go last so earlier test numbers stay stable *)
+  @ [ tc "legacy spilled mirror refused" `Quick
+        test_legacy_spilled_mirror_refused;
+      tc "legacy unsealed spill list collected" `Quick
+        test_legacy_unsealed_spills_collected;
+      tc "redo overflow retry keeps a racing write" `Quick
+        test_overflow_retry_keeps_racing_write;
+      tc "PREPARE transaction shape" `Quick test_prepare_tx_shape;
+      tc "racing write on a later participant survives" `Quick
+        test_later_participant_race;
+      tc "legacy spilled image without replay collected" `Quick
+        test_legacy_unreplayed_spill_collected ]
 
 let () = Alcotest.run "sharded" [ ("sharded", suite) ]
