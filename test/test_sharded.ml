@@ -2142,6 +2142,47 @@ let test_repair_evacuates () =
     (Sd.get db (key i0));
   check_ok "evacuated store" db
 
+(* The key-transfer transaction shape, pinned on engine commits per
+   region.  Keys move in batches of at most [chunk_bytes] payload bytes:
+   at 256 bytes and 33 bytes a seeded pair, 7 keys a batch.  A split
+   costs one source transaction (cursor + deletes) and one target
+   transaction (insert-if-absent) per batch; shard 0 adds the intent,
+   the epoch flip and the intent unhook, the source the cursor free, the
+   fresh target its map and tombstone map.  An evacuation costs one
+   target transaction per batch; shard 0 adds the intent, the
+   route+health flip, the intent unhook and repair's health record. *)
+let test_transfer_tx_shape () =
+  let commits d =
+    Array.to_list (Array.map (fun st -> st.Pmem.Stats.commits) d)
+  in
+  let rs, db = open_sharded ~shards:2 ~chunk_bytes:256 () in
+  seed db 60;
+  let r2 = region () in
+  let rs = Array.append rs [| r2 |] in
+  let before = Array.map (fun r -> Pmem.Stats.snapshot (R.stats r)) rs in
+  ignore (Sd.split_shard db ~source:1 r2 : int);
+  let d =
+    Array.mapi
+      (fun i r -> Pmem.Stats.since ~now:(R.stats r) ~past:before.(i))
+      rs
+  in
+  (* 10 moving keys: 2 batches *)
+  Alcotest.(check int) "split: keys migrated" 10
+    d.(2).Pmem.Stats.keys_migrated;
+  Alcotest.(check (list int)) "split: commits per region" [ 3; 3; 4 ]
+    (commits d);
+  assert_exactly_once "split" db 60;
+  let rs, db = settled 64 in
+  rot_shard rs db 1;
+  crash_all rs R.Drop_all;
+  let db = Sd.open_db ~initial_buckets:8 ~chunk_bytes:256 rs in
+  let d = shape_deltas db (fun () -> ignore (Sd.repair ~target:2 db)) in
+  (* 11 salvageable keys: 2 batches *)
+  Alcotest.(check int) "evacuation: keys evacuated" 11
+    d.(2).Pmem.Stats.keys_evacuated;
+  Alcotest.(check (list int)) "evacuation: commits per region"
+    [ 4; 0; 2; 0 ] (commits d)
+
 (* qcheck: rot in one shard is attributed to that shard alone — the
    per-shard scrub reports and the per-region counters both stay silent
    for every healthy shard *)
@@ -2607,6 +2648,7 @@ let suite =
       tc "racing write on a later participant survives" `Quick
         test_later_participant_race;
       tc "legacy spilled image without replay collected" `Quick
-        test_legacy_unreplayed_spill_collected ]
+        test_legacy_unreplayed_spill_collected;
+      tc "key-transfer transaction shape" `Quick test_transfer_tx_shape ]
 
 let () = Alcotest.run "sharded" [ ("sharded", suite) ]
