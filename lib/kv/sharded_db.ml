@@ -147,19 +147,32 @@ let backoff_wait_ns ns =
     Domain.cpu_relax ()
   done
 
-let with_overload_retry ?(retries = default_overload_retries)
-    ?(base_ns = default_overload_base_ns) ?(seed = 0) ?(on_wait = fun _ -> ())
-    f =
+(* Call [attempt], and again after each wait of the schedule until [done_]
+   accepts its result; the last attempt's result stands. *)
+let retry_with_backoff ~retries ~base_ns ~seed ?(on_wait = fun _ -> ())
+    ~done_ attempt =
   let rec go = function
-    | [] -> f ()
-    | wait :: rest -> (
-      try f ()
-      with Overloaded _ ->
+    | [] -> attempt ()
+    | wait :: rest ->
+      let r = attempt () in
+      if done_ r then r
+      else begin
         on_wait wait;
         backoff_wait_ns wait;
-        go rest)
+        go rest
+      end
   in
   go (overload_backoff_schedule ~retries ~base_ns ~seed)
+
+let with_overload_retry ?(retries = default_overload_retries)
+    ?(base_ns = default_overload_base_ns) ?(seed = 0) ?on_wait f =
+  match
+    retry_with_backoff ~retries ~base_ns ~seed ?on_wait
+      ~done_:(function Ok _ -> true | Error _ -> false)
+      (fun () -> try Ok (f ()) with Overloaded _ as e -> Error e)
+  with
+  | Ok v -> v
+  | Error e -> raise e
 
 (* Chunked mirror streaming: a mirror whose payload exceeds [chunk_bytes]
    is written as a linked chain of CRC-protected chunks, one engine
@@ -555,6 +568,12 @@ module Make (P : SHARD_PTM) = struct
   }
 
   let db_root = 0 (* same slot as Romulus_db: the map's anchor *)
+
+  (* Mount an engine over [region], with the store's map at [db_root]
+     (created on a fresh region). *)
+  let mount ~initial_buckets region =
+    let p = P.open_region region in
+    { p; map = Map_.open_or_create ~initial_buckets p ~root:db_root; region }
 
   (* Reserved root slots, far from the map's anchor.  None is touched
      before the first cross-shard batch, so a 1-shard store stays
@@ -1043,25 +1062,28 @@ module Make (P : SHARD_PTM) = struct
     in
     go 0 (P.get_root p slot)
 
-  (* free every record of a chain headed at [head] (inside an update
-     tx) *)
-  let free_chain p head =
-    let rec go c =
-      if c <> 0 then begin
-        let next = P.load p c in
-        P.free p c;
-        go next
-      end
+  (* the offsets of a linked list's records from [head] on, in list
+     order (inside a tx) *)
+  let list_offsets p head =
+    let rec go acc off =
+      if off = 0 then List.rev acc else go (off :: acc) (P.load p off)
     in
-    go head
+    go [] head
+
+  (* swing root [slot] to the record [o] (or 0) and free the record it
+     held (inside an update tx) *)
+  let replace_root p slot o =
+    let old = P.get_root p slot in
+    P.set_root p slot o;
+    if old <> 0 then P.free p old
 
   (* reclaim a mirror together with its chunk chain (and a legacy
      mirror's spill list), and splice it out of the mirror list (inside
      an update tx); never reads payload bytes, so it is safe on unsealed
      chains *)
   let unhook_mirror p off =
-    free_chain p (P.load p (off + m_chunks));
-    free_chain p (P.load p (off + m_spills));
+    List.iter (P.free p) (list_offsets p (P.load p (off + m_chunks)));
+    List.iter (P.free p) (list_offsets p (P.load p (off + m_spills)));
     unhook p ~slot:mirror_slot off
 
   let wrap_abort e backtrace =
@@ -1165,35 +1187,55 @@ module Make (P : SHARD_PTM) = struct
       then flush_shard_clears t i
     done
 
-  (* ---- validated chunk-chain reads ---- *)
+  (* ---- CRC-sealed blob records ----
 
-  let chain_error msg =
-    raise (Romulus.Engine.Recovery_error ("sharded mirror: " ^ msg))
+     A chunk (next | len | crc | bytes) and the migration cursor (epoch |
+     len | crc | 0 | bytes) share one layout past their first word: the
+     byte length at [c_len], its CRC-32 at [c_crc], and the bytes after
+     a header of [hdr] bytes whose remaining words are zero. *)
+
+  let record_error what msg =
+    raise (Romulus.Engine.Recovery_error ("sharded " ^ what ^ ": " ^ msg))
+
+  (* one unlinked blob record holding [bytes] behind the first word
+     [first] (inside an update tx) *)
+  let write_blob p ~hdr ~first bytes =
+    let len = String.length bytes in
+    let o = P.alloc p (hdr + len) in
+    P.store p o first;
+    P.store p (o + c_len) len;
+    P.store p (o + c_crc) (Chunk.crc bytes);
+    for w = 3 to (hdr / 8) - 1 do
+      P.store p (o + (8 * w)) 0
+    done;
+    P.store_bytes p (o + hdr) bytes;
+    o
+
+  (* the blob record at [o] read back (inside a tx) as a {!Chunk.join}
+     piece — its bytes and stored CRC — with the length checked against
+     [max_len]; [join_blobs] verifies every piece's CRC and the total
+     length.  Errors name the record kind [what]. *)
+  let read_blob p ~hdr ~what ~max_len o =
+    let len = P.load p (o + c_len) in
+    if len < 0 || len > max_len then record_error what "length out of range";
+    let stored = P.load p (o + c_crc) in
+    (P.load_bytes p (o + hdr) len, stored)
+
+  let join_blobs ~what ~expect_len pieces =
+    match Chunk.join ~expect_len pieces with
+    | Ok payload -> payload
+    | Error msg -> record_error what msg
 
   (* read and reassemble the payload of the *sealed* mirror at [off]
-     (inside a transaction on shard [s]); every chunk's CRC and the
-     total length are verified against the header *)
+     (inside a transaction on shard [s]) *)
   let read_payload_in_tx s off =
     let p = s.p in
     let plen = P.load p (off + m_plen) in
-    if plen < 0 then chain_error "negative payload length";
-    let rec pieces acc c =
-      if c = 0 then List.rev acc
-      else begin
-        let next = P.load p c in
-        let len = P.load p (c + c_len) in
-        if len < 0 || len > plen then
-          chain_error "chunk length out of range";
-        let stored = P.load p (c + c_crc) in
-        let bytes = P.load_bytes p (c + chunk_hdr) len in
-        pieces ((bytes, stored) :: acc) next
-      end
-    in
-    match
-      Chunk.join ~expect_len:plen (pieces [] (P.load p (off + m_chunks)))
-    with
-    | Ok payload -> payload
-    | Error msg -> chain_error msg
+    if plen < 0 then record_error "mirror" "negative payload length";
+    join_blobs ~what:"mirror" ~expect_len:plen
+      (List.map
+         (read_blob p ~hdr:chunk_hdr ~what:"mirror chunk" ~max_len:plen)
+         (list_offsets p (P.load p (off + m_chunks))))
 
   (* replay the still-valid undo entries of the sealed mirror at [off]
      and reclaim it with its chunk chain, inside one transaction on
@@ -1243,16 +1285,6 @@ module Make (P : SHARD_PTM) = struct
     P.set_root s.p mirror_slot o;
     o
 
-  (* one unlinked chunk record holding [piece] (inside an update tx) *)
-  let write_chunk s piece =
-    let len = String.length piece in
-    let c = P.alloc s.p (chunk_hdr + len) in
-    P.store s.p c 0;
-    P.store s.p (c + c_len) len;
-    P.store s.p (c + c_crc) (Chunk.crc piece);
-    P.store_bytes s.p (c + chunk_hdr) piece;
-    c
-
   (* The undo images are read here, right before this participant's
      PREPARE: a single-key write that lands after an earlier
      participant's PREPARE, on a key not yet pending, is then this
@@ -1270,7 +1302,7 @@ module Make (P : SHARD_PTM) = struct
       if plen <= chunk_bytes then begin
         let moff, c =
           tx_with_drain t i (fun () ->
-              let c = write_chunk s payload in
+              let c = write_blob s.p ~hdr:chunk_hdr ~first:0 payload in
               let o = hook ~sealed:1 ~plen ~chunks:c in
               List.iter (apply_op s) slice;
               (o, c))
@@ -1291,7 +1323,7 @@ module Make (P : SHARD_PTM) = struct
               (fun piece ->
                 let c =
                   P.update_tx s.p (fun () ->
-                      let c = write_chunk s piece in
+                      let c = write_blob s.p ~hdr:chunk_hdr ~first:0 piece in
                       P.store s.p !link c;
                       c)
                 in
@@ -1426,14 +1458,20 @@ module Make (P : SHARD_PTM) = struct
      wrapped in [Tx_aborted], because nothing was written.  Retrying is
      the caller's choice ({!with_overload_retry}). *)
 
+  (* refuse with the typed [Overloaded], metered on shard [i] *)
+  let overloaded t i =
+    tick_overload (raw t i);
+    raise
+      (Overloaded
+         { shard = i; in_flight = t.proto.in_flight.(i);
+           budget = t.proto.config.admission_budget })
+
   let admit t charges =
     let budget = t.proto.config.admission_budget in
     let infl = t.proto.in_flight in
     match List.find_opt (fun (i, c) -> infl.(i) + c > budget) charges with
     | None -> List.iter (fun (i, c) -> infl.(i) <- infl.(i) + c) charges
-    | Some (i, _) ->
-      tick_overload (raw t i);
-      raise (Overloaded { shard = i; in_flight = infl.(i); budget })
+    | Some (i, _) -> overloaded t i
 
   let release t charges =
     let infl = t.proto.in_flight in
@@ -1470,10 +1508,7 @@ module Make (P : SHARD_PTM) = struct
   let mig_hdr = 40 (* kind | source | target | new epoch | n_slots *)
   let cursor_hdr = 32 (* epoch | len | crc | reserved | bytes *)
 
-  let route_error fmt =
-    Printf.ksprintf
-      (fun msg -> raise (Romulus.Engine.Recovery_error ("sharded routing: " ^ msg)))
-      fmt
+  let route_error fmt = Printf.ksprintf (record_error "routing") fmt
 
   let tomb_map t target =
     let cfg = t.proto.config in
@@ -1498,9 +1533,7 @@ module Make (P : SHARD_PTM) = struct
     P.store s0.p (o + 8) r.n_slots;
     P.store s0.p (o + 16) (shards t);
     Array.iteri (fun s a -> P.store s0.p (o + 24 + (8 * s)) a) r.assignment;
-    let old = P.get_root s0.p route_slot in
-    P.set_root s0.p route_slot o;
-    if old <> 0 then P.free s0.p old
+    replace_root s0.p route_slot o
 
   let persist_route t ~epoch =
     let s0 = raw t 0 in
@@ -1521,9 +1554,7 @@ module Make (P : SHARD_PTM) = struct
     let o = P.alloc s0.p (8 + len) in
     P.store s0.p o len;
     P.store_bytes s0.p (o + 8) payload;
-    let old = P.get_root s0.p health_slot in
-    P.set_root s0.p health_slot o;
-    if old <> 0 then P.free s0.p old
+    replace_root s0.p health_slot o
 
   let persist_health t =
     let s0 = raw t 0 in
@@ -1654,7 +1685,39 @@ module Make (P : SHARD_PTM) = struct
         route_error "migration intent epoch %d does not follow table epoch %d"
           mepoch t.router.epoch;
       let moving = Array.init n_slots (fun s -> bitmap.[s] = '\001') in
-      Some (off, kind, source, target, mepoch, moving)
+      Some (kind, source, target, mepoch, moving)
+    end
+
+  (* One target transaction inserting each of [kvs] the target lacks and
+     no tombstone of [tomb] marks dead: a key already decided by a racing
+     write (or by an earlier run of the same stream) is left alone, so
+     replays are idempotent.  Returns the number inserted. *)
+  let insert_absent tgt ?tomb kvs =
+    let dead k = match tomb with Some tb -> Map_.mem tb k | None -> false in
+    P.update_tx tgt.p (fun () ->
+        List.fold_left
+          (fun n (k, v) ->
+            if (not (Map_.mem tgt.map k)) && not (dead k) then begin
+              ignore (Map_.put tgt.map k v : bool);
+              n + 1
+            end
+            else n)
+          0 kvs)
+
+  (* Run [f] on consecutive batches of [kvs] whose cursor payload fits
+     [chunk_bytes] (always at least one pair a batch). *)
+  let rec in_batches ~chunk_bytes kvs f =
+    let rec take acc size = function
+      | [] -> (List.rev acc, [])
+      | ((k, v) :: rest) as all ->
+        let size = size + 17 + String.length k + String.length v in
+        if acc <> [] && size > chunk_bytes then (List.rev acc, all)
+        else take ((k, v) :: acc) size rest
+    in
+    if kvs <> [] then begin
+      let batch, rest = take [] 8 kvs in
+      f batch;
+      in_batches ~chunk_bytes rest f
     end
 
   (* One bounded move batch: [moved] is (key, value) pairs still living
@@ -1671,15 +1734,8 @@ module Make (P : SHARD_PTM) = struct
     let payload = Buffer.contents b in
     let plen = String.length payload in
     P.update_tx src.p (fun () ->
-        let o = P.alloc src.p (cursor_hdr + plen) in
-        P.store src.p o m.mig_epoch;
-        P.store src.p (o + 8) plen;
-        P.store src.p (o + 16) (Chunk.crc payload);
-        P.store src.p (o + 24) 0;
-        P.store_bytes src.p (o + cursor_hdr) payload;
-        let old = P.get_root src.p cursor_slot in
-        P.set_root src.p cursor_slot o;
-        if old <> 0 then P.free src.p old;
+        replace_root src.p cursor_slot
+          (write_blob src.p ~hdr:cursor_hdr ~first:m.mig_epoch payload);
         List.iter
           (fun (k, _) -> ignore (Map_.remove src.map k : bool))
           moved);
@@ -1688,58 +1744,30 @@ module Make (P : SHARD_PTM) = struct
     with_overload_retry ~seed:(m.mig_epoch + plen) (fun () -> admit t charge);
     Fun.protect
       ~finally:(fun () -> release t charge)
-      (fun () ->
-        let inserted = ref 0 in
-        P.update_tx tgt.p (fun () ->
-            List.iter
-              (fun (k, v) ->
-                if
-                  (not (Map_.mem tgt.map k))
-                  && not (Map_.mem m.mig_tomb k)
-                then begin
-                  ignore (Map_.put tgt.map k v : bool);
-                  incr inserted
-                end)
-              moved);
-        tick_migrated tgt !inserted);
+      (fun () -> tick_migrated tgt (insert_absent tgt ~tomb:m.mig_tomb moved));
     Fault.hit fp_mig_applied
 
   (* Stream every source key of a moving slot to the target in bounded
-     batches (payload <= chunk_bytes, always at least one key).  Keys a
-     racing write touches mid-stream are skipped naturally: a forwarded
-     put or delete removes its key from the source before the stream
-     reaches it.  A final re-collection pass confirms the source is
-     drained. *)
+     batches.  Keys a racing write touches mid-stream are skipped
+     naturally: a forwarded put or delete removes its key from the
+     source before the stream reaches it.  A final re-collection pass
+     confirms the source is drained. *)
   let run_move_loop t m =
     let src = raw t m.mig_source in
-    let chunk_bytes = t.proto.config.chunk_bytes in
     let rec pass () =
       let pending = ref [] in
       Map_.iter src.map (fun k v ->
           if m.moving.(slot_of_key t k) then pending := (k, v) :: !pending);
-      match !pending with
-      | [] -> ()
-      | kvs ->
-        let rec batches = function
-          | [] -> ()
-          | kvs ->
-            let rec take acc size = function
-              | [] -> (List.rev acc, [])
-              | ((k, v) :: rest) as all ->
-                let size = size + 17 + String.length k + String.length v in
-                if acc <> [] && size > chunk_bytes then (List.rev acc, all)
-                else take ((k, v) :: acc) size rest
-            in
-            let batch, rest = take [] 8 kvs in
+      if !pending <> [] then begin
+        in_batches ~chunk_bytes:t.proto.config.chunk_bytes !pending
+          (fun batch ->
             (* a racing write may have retired a key since collection *)
             let moved =
               List.filter (fun (k, _) -> Map_.mem src.map k) batch
             in
-            if moved <> [] then move_batch t m moved;
-            batches rest
-        in
-        batches kvs;
+            if moved <> [] then move_batch t m moved);
         pass ()
+      end
     in
     pass ()
 
@@ -1752,6 +1780,18 @@ module Make (P : SHARD_PTM) = struct
     t.router.migration <- None;
     tick_mig_completed (raw t 0);
     Fault.hit fp_mig_flip
+
+  (* Unhook the migration intent, when one is hooked: the last step of
+     every resize and evacuation. *)
+  let unhook_mig_intent t =
+    (match read_root t 0 mig_slot with
+    | 0 -> ()
+    | ioff ->
+      let s0 = raw t 0 in
+      P.update_tx s0.p (fun () ->
+          P.set_root s0.p mig_slot 0;
+          P.free s0.p ioff));
+    Fault.hit fp_mig_reclaim
 
   (* Post-flip reclamation, idempotent (recovery re-runs it whole when a
      crash lands inside): finish any straggler source copies, free the
@@ -1769,27 +1809,18 @@ module Make (P : SHARD_PTM) = struct
     Map_.iter src.map (fun k v ->
         if moving.(slot_of_key t k) then stale := (k, v) :: !stale);
     if !stale <> [] then begin
-      let orphans =
-        List.filter
-          (fun (k, _) ->
-            (not (Map_.mem tgt.map k)) && not (Map_.mem tomb k))
+      if
+        List.exists
+          (fun (k, _) -> (not (Map_.mem tgt.map k)) && not (Map_.mem tomb k))
           !stale
-      in
-      if orphans <> [] then
-        P.update_tx tgt.p (fun () ->
-            List.iter
-              (fun (k, v) -> ignore (Map_.put tgt.map k v : bool))
-              orphans);
+      then ignore (insert_absent tgt ~tomb !stale : int);
       P.update_tx src.p (fun () ->
           List.iter
             (fun (k, _) -> ignore (Map_.remove src.map k : bool))
             !stale)
     end;
-    let coff = read_root t source cursor_slot in
-    if coff <> 0 then
-      P.update_tx src.p (fun () ->
-          P.set_root src.p cursor_slot 0;
-          P.free src.p coff);
+    if read_root t source cursor_slot <> 0 then
+      P.update_tx src.p (fun () -> replace_root src.p cursor_slot 0);
     let tkeys = ref [] in
     Map_.iter tomb (fun k _ -> tkeys := k :: !tkeys);
     if !tkeys <> [] then
@@ -1797,25 +1828,13 @@ module Make (P : SHARD_PTM) = struct
           List.iter
             (fun k -> ignore (Map_.remove tomb k : bool))
             !tkeys);
-    (match read_root t 0 mig_slot with
-    | 0 -> ()
-    | ioff ->
-      let s0 = raw t 0 in
-      P.update_tx s0.p (fun () ->
-          P.set_root s0.p mig_slot 0;
-          P.free s0.p ioff));
-    Fault.hit fp_mig_reclaim
+    unhook_mig_intent t
 
   (* Open a fresh region as the next shard index (formatting it under
      its own engine) and grow the per-shard protocol arrays. *)
   let attach_shard t region =
-    let cfg = t.proto.config in
-    let p = P.open_region region in
-    let map =
-      Map_.open_or_create ~initial_buckets:cfg.initial_buckets p
-        ~root:db_root
-    in
-    t.shard_arr <- Array.append t.shard_arr [| Some { p; map; region } |];
+    let s = mount ~initial_buckets:t.proto.config.initial_buckets region in
+    t.shard_arr <- Array.append t.shard_arr [| Some s |];
     t.region_arr <- Array.append t.region_arr [| region |];
     t.health_arr <- Array.append t.health_arr [| Healthy |];
     let pr = t.proto in
@@ -1948,38 +1967,11 @@ module Make (P : SHARD_PTM) = struct
     (* bounded insert-if-absent batches (idempotent on re-run): a moving
        key can only be written through the source, which refuses, so a
        key already present in the target was placed by this stream *)
-    let chunk_bytes = t.proto.config.chunk_bytes in
-    let flush batch =
-      if batch <> [] then begin
-        let inserted = ref 0 in
-        P.update_tx tgt.p (fun () ->
-            List.iter
-              (fun (k, v) ->
-                if not (Map_.mem tgt.map k) then begin
-                  ignore (Map_.put tgt.map k v : bool);
-                  incr inserted
-                end)
-              batch);
+    in_batches ~chunk_bytes:t.proto.config.chunk_bytes kvs (fun batch ->
+        let inserted = insert_absent tgt batch in
         tick_region t target (fun st ->
             st.Pmem.Stats.keys_evacuated <-
-              st.Pmem.Stats.keys_evacuated + !inserted)
-      end
-    in
-    let rec batches = function
-      | [] -> ()
-      | kvs ->
-        let rec take acc size = function
-          | [] -> (List.rev acc, [])
-          | ((k, v) :: rest) as all ->
-            let size = size + 17 + String.length k + String.length v in
-            if acc <> [] && size > chunk_bytes then (List.rev acc, all)
-            else take ((k, v) :: acc) size rest
-        in
-        let batch, rest = take [] 8 kvs in
-        flush batch;
-        batches rest
-    in
-    batches kvs;
+              st.Pmem.Stats.keys_evacuated + inserted));
     (* volatile route + verdict first (precedent: run_migration opening
        the window before its durable flip), then the atomic flip *)
     let r = t.router in
@@ -2000,13 +1992,7 @@ module Make (P : SHARD_PTM) = struct
        again (its map still holds stale duplicates of the target's keys,
        which is why scans drop Evacuated shards) *)
     t.shard_arr.(source) <- None;
-    (match read_root t 0 mig_slot with
-    | 0 -> ()
-    | ioff ->
-      P.update_tx s0.p (fun () ->
-          P.set_root s0.p mig_slot 0;
-          P.free s0.p ioff));
-    Fault.hit fp_mig_reclaim;
+    unhook_mig_intent t;
     List.length kvs
 
   let start_evacuation t ~source ~target =
@@ -2040,17 +2026,13 @@ module Make (P : SHARD_PTM) = struct
   let reconcile_migration t =
     match read_mig_intent t with
     | None -> ()
-    | Some (ioff, kind, source, target, mepoch, moving) ->
+    | Some (kind, source, target, mepoch, moving) ->
       if kind = 2 then begin
         if t.router.epoch >= mepoch then begin
           (* routing and the Evacuated verdict flipped durably together;
              only the intent unhook is owed *)
-          let s0 = raw t 0 in
-          tick_mig_resumed s0;
-          P.update_tx s0.p (fun () ->
-              P.set_root s0.p mig_slot 0;
-              P.free s0.p ioff);
-          Fault.hit fp_mig_reclaim
+          tick_mig_resumed (raw t 0);
+          unhook_mig_intent t
         end
         else if Option.is_some t.shard_arr.(source) && healthy t target
         then begin
@@ -2070,43 +2052,32 @@ module Make (P : SHARD_PTM) = struct
         else begin
           let src = raw t source in
           let tgt = raw t target in
-        let tomb = tomb_map t target in
-        let coff = read_root t source cursor_slot in
-        if coff <> 0 then begin
-          let cepoch, payload =
-            P.read_tx src.p (fun () ->
-                let cepoch = P.load src.p coff in
-                let len = P.load src.p (coff + 8) in
-                if len < 0 then chain_error "negative migration cursor length";
-                let stored = P.load src.p (coff + 16) in
-                let bytes = P.load_bytes src.p (coff + cursor_hdr) len in
-                if Chunk.crc bytes <> stored then
-                  chain_error "migration cursor CRC mismatch";
-                (cepoch, bytes))
-          in
-          if cepoch = mepoch then begin
-            let pr = { payload; pos = 0 } in
-            let kvs = take_kv_list pr "migration-cursor" in
-            let inserted = ref 0 in
-            P.update_tx tgt.p (fun () ->
-                List.iter
-                  (fun (k, v) ->
-                    match v with
-                    | Some v ->
-                      if
-                        (not (Map_.mem tgt.map k))
-                        && not (Map_.mem tomb k)
-                      then begin
-                        ignore (Map_.put tgt.map k v : bool);
-                        incr inserted
-                      end
-                    | None -> ())
-                  kvs);
-            tick_migrated tgt !inserted
-          end
-        end;
-        Fault.hit fp_mig_resumed;
-        run_migration t ~source ~target ~mepoch ~moving
+          let tomb = tomb_map t target in
+          let coff = read_root t source cursor_slot in
+          if coff <> 0 then begin
+            let what = "migration cursor" in
+            let cepoch, payload =
+              P.read_tx src.p (fun () ->
+                  let cepoch = P.load src.p coff in
+                  let ((bytes, _) as piece) =
+                    read_blob src.p ~hdr:cursor_hdr ~what ~max_len:max_int
+                      coff
+                  in
+                  ( cepoch,
+                    join_blobs ~what ~expect_len:(String.length bytes)
+                      [ piece ] ))
+            in
+            if cepoch = mepoch then begin
+              let kvs =
+                take_kv_list { payload; pos = 0 } "migration-cursor"
+                |> List.filter_map (fun (k, v) ->
+                       Option.map (fun v -> (k, v)) v)
+              in
+              tick_migrated tgt (insert_absent tgt ~tomb kvs)
+            end
+          end;
+          Fault.hit fp_mig_resumed;
+          run_migration t ~source ~target ~mepoch ~moving
         end
       end
 
@@ -2123,12 +2094,7 @@ module Make (P : SHARD_PTM) = struct
       (match t.router.migration with
       | Some m when List.exists (fun (k, _) -> m.moving.(slot_of_key t k)) ops
         ->
-        let i = m.mig_target in
-        tick_overload (raw t i);
-        raise
-          (Overloaded
-             { shard = i; in_flight = t.proto.in_flight.(i);
-               budget = t.proto.config.admission_budget })
+        overloaded t m.mig_target
       | _ -> ());
       match group_by_shard t ops with
       | [] -> ()
@@ -2233,13 +2199,9 @@ module Make (P : SHARD_PTM) = struct
       if engine_up t c then begin
         let p = (raw t c).p in
         P.read_tx p (fun () ->
-            let rec go off =
-              if off <> 0 then begin
-                Hashtbl.replace flips (c, P.load p (off + 8)) off;
-                go (P.load p off)
-              end
-            in
-            go (P.get_root p flip_slot))
+            List.iter
+              (fun off -> Hashtbl.replace flips (c, P.load p (off + 8)) off)
+              (list_offsets p (P.get_root p flip_slot)))
       end
     done;
     (* phase 1: resolve every hooked mirror.  Offsets are collected in
@@ -2260,11 +2222,7 @@ module Make (P : SHARD_PTM) = struct
         let s = raw t i in
         let offs =
           P.read_tx s.p (fun () ->
-              let rec go acc off =
-                if off = 0 then List.rev acc
-                else go (off :: acc) (P.load s.p off)
-              in
-              go [] (P.get_root s.p mirror_slot))
+              list_offsets s.p (P.get_root s.p mirror_slot))
         in
         List.iter
           (fun head ->
@@ -2340,21 +2298,18 @@ module Make (P : SHARD_PTM) = struct
       end
     done;
     (* phase 2: with nothing skipped no mirror survives anywhere, so
-       every flip is reclaimable *)
+       every flip is reclaimable; each is popped off the list head in a
+       transaction of its own *)
     if not !skipped then
       for c = 0 to n - 1 do
         if engine_up t c then begin
-          let s = raw t c in
-          let rec clear_head () =
-            let head = P.read_tx s.p (fun () -> P.get_root s.p flip_slot) in
-            if head <> 0 then begin
-              P.update_tx s.p (fun () ->
-                  P.set_root s.p flip_slot (P.load s.p head);
-                  P.free s.p head);
-              clear_head ()
-            end
-          in
-          clear_head ()
+          let p = (raw t c).p in
+          List.iter
+            (fun head ->
+              P.update_tx p (fun () ->
+                  P.set_root p flip_slot (P.load p head);
+                  P.free p head))
+            (P.read_tx p (fun () -> list_offsets p (P.get_root p flip_slot)))
         end
       done
 
@@ -2476,9 +2431,7 @@ module Make (P : SHARD_PTM) = struct
      reclaims them. *)
   let pending_intents t =
     let count p slot =
-      P.read_tx p (fun () ->
-          let rec go n off = if off = 0 then n else go (n + 1) (P.load p off) in
-          go 0 (P.get_root p slot))
+      P.read_tx p (fun () -> List.length (list_offsets p (P.get_root p slot)))
     in
     Array.fold_left
       (fun acc so ->
@@ -2541,13 +2494,10 @@ module Make (P : SHARD_PTM) = struct
     | Some _ -> true
     | None -> (
       try
-        let region = t.region_arr.(i) in
-        let p = P.open_region region in
-        let map =
-          Map_.open_or_create ~initial_buckets:t.proto.config.initial_buckets
-            p ~root:db_root
-        in
-        t.shard_arr.(i) <- Some { p; map; region };
+        t.shard_arr.(i) <-
+          Some
+            (mount ~initial_buckets:t.proto.config.initial_buckets
+               t.region_arr.(i));
         true
       with
       | Pmem.Region.Crash_point as e -> raise e
@@ -2572,15 +2522,7 @@ module Make (P : SHARD_PTM) = struct
         | exception Pmem.Region.Crash_point -> raise Pmem.Region.Crash_point
         | exception _ -> false)
     in
-    let rec go = function
-      | [] -> attempt ()
-      | wait :: rest ->
-        attempt ()
-        ||
-        (backoff_wait_ns wait;
-         go rest)
-    in
-    go (overload_backoff_schedule ~retries ~base_ns ~seed)
+    retry_with_backoff ~retries ~base_ns ~seed ~done_:Fun.id attempt
 
   (* R2: replace the shard's region wholesale from its latest snapshot
      file, validated by a clean salvage scrub before it is adopted.
@@ -2596,16 +2538,14 @@ module Make (P : SHARD_PTM) = struct
       Sys.file_exists path
       &&
       try
-        let region = Pmem.Region.load_from_file path in
-        let p = P.open_region region in
-        let map =
-          Map_.open_or_create ~initial_buckets:t.proto.config.initial_buckets
-            p ~root:db_root
+        let s =
+          mount ~initial_buckets:t.proto.config.initial_buckets
+            (Pmem.Region.load_from_file path)
         in
-        (match P.scrub_salvage p with
+        (match P.scrub_salvage s.p with
         | { Romulus.Engine.unrepairable = []; _ } ->
-          t.region_arr.(i) <- region;
-          t.shard_arr.(i) <- Some { p; map; region };
+          t.region_arr.(i) <- s.region;
+          t.shard_arr.(i) <- Some s;
           tick_region t i (fun st ->
               st.Pmem.Stats.repair_snapshot_restores <-
                 st.Pmem.Stats.repair_snapshot_restores + 1);
@@ -2710,11 +2650,9 @@ module Make (P : SHARD_PTM) = struct
        intents and the health record: without it there is no store to
        degrade, so its failure is the typed fatal {!Shard_open_failed}. *)
     let open_engine region =
-      let p = P.open_region region in
-      let map = Map_.open_or_create ~initial_buckets p ~root:db_root in
-      let s = { p; map; region } in
+      let s = mount ~initial_buckets region in
       let h =
-        match (P.scrub_salvage p : Romulus.Engine.scrub_report).unrepairable
+        match (P.scrub_salvage s.p : Romulus.Engine.scrub_report).unrepairable
         with
         | [] -> Healthy
         | (offset, state) :: _ -> Degraded (Unrepairable_media { offset; state })

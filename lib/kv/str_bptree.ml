@@ -1,7 +1,7 @@
 (* Persistent B+tree with string keys and string values — the ordered
-   index behind {!Sorted_db}.  Same structure as {!Pds.Bptree} (fanout 8,
-   values in chained leaves, proactive splits, lazy deletion), with keys
-   and values stored as length-prefixed blobs.
+   index behind {!Sorted_db}: fanout 8, values in chained leaves,
+   proactive splits, lazy deletion, with keys and values stored as
+   length-prefixed blobs.
 
    Blob ownership: a leaf owns its key and value blobs (freed when the
    entry is removed or the value overwritten).  Internal separators own

@@ -1,6 +1,6 @@
 (** Persistent B+tree with string keys and values (length-prefixed
-    blobs): ordered scans and range queries for {!Sorted_db}.  Same
-    structural properties as {!Pds.Bptree}. *)
+    blobs): ordered scans and range queries for {!Sorted_db}.  Fanout
+    8, values in chained leaves, proactive splits, lazy deletion. *)
 
 module Make (P : Romulus.Ptm_intf.S) : sig
   type t

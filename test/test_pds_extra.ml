@@ -1,5 +1,5 @@
-(* Tests for the extension containers (cell/array/string box, stack,
-   queue, skiplist): model-based behaviour, structural invariants, and
+(* Tests for the extension containers the examples use (cell/array/
+   string box, queue): model-based behaviour, structural invariants, and
    crash atomicity.  Run over RomulusLog, RomulusLR and the aborting STM
    baseline (which additionally exercises closure re-execution). *)
 
@@ -15,10 +15,7 @@ let region ?(size = 1 lsl 18) () = R.create ~size ()
 
 module Make (P : PTM) = struct
   module B = Pds.Pbox.Make (P)
-  module S = Pds.Pstack.Make (P)
   module Q = Pds.Pqueue.Make (P)
-  module Sk = Pds.Skiplist.Make (P)
-  module Bt = Pds.Bptree.Make (P)
 
   (* ---- Pbox ---- *)
 
@@ -76,27 +73,6 @@ module Make (P : PTM) = struct
     let s = B.Str.attach p ~root:0 in
     Alcotest.(check string) "survives crash" "final" (B.Str.get s)
 
-  (* ---- stack ---- *)
-
-  let test_stack () =
-    let r = region () in
-    let p = P.open_region r in
-    let s = S.create p ~root:0 in
-    Alcotest.(check bool) "empty" true (S.is_empty s);
-    Alcotest.(check (option int)) "pop empty" None (S.pop s);
-    S.push s 1;
-    S.push s 2;
-    S.push s 3;
-    Alcotest.(check (option int)) "peek" (Some 3) (S.peek s);
-    Alcotest.(check (list int)) "lifo order" [ 3; 2; 1 ] (S.to_list s);
-    Alcotest.(check (option int)) "pop" (Some 3) (S.pop s);
-    Alcotest.(check int) "length" 2 (S.length s);
-    (match S.check s with Ok () -> () | Error e -> Alcotest.fail e);
-    R.crash r R.Drop_all;
-    P.recover p;
-    let s = S.attach p ~root:0 in
-    Alcotest.(check (list int)) "survives crash" [ 2; 1 ] (S.to_list s)
-
   (* ---- queue ---- *)
 
   let test_queue () =
@@ -153,242 +129,13 @@ module Make (P : PTM) = struct
          | Error e -> QCheck.Test.fail_reportf "invariant: %s" e);
         Q.to_list q = List.of_seq (Queue.to_seq model))
 
-  (* ---- skiplist ---- *)
-
-  let test_skiplist_basics () =
-    let r = region () in
-    let p = P.open_region r in
-    let s = Sk.create p ~root:0 in
-    Alcotest.(check bool) "add 5" true (Sk.add s 5);
-    Alcotest.(check bool) "add 1" true (Sk.add s 1);
-    Alcotest.(check bool) "add 9" true (Sk.add s 9);
-    Alcotest.(check bool) "re-add 5" false (Sk.add s 5);
-    Alcotest.(check bool) "contains 5" true (Sk.contains s 5);
-    Alcotest.(check bool) "not contains 4" false (Sk.contains s 4);
-    Alcotest.(check (list int)) "sorted" [ 1; 5; 9 ] (Sk.to_list s);
-    Alcotest.(check bool) "remove 5" true (Sk.remove s 5);
-    Alcotest.(check bool) "re-remove 5" false (Sk.remove s 5);
-    Alcotest.(check int) "length" 2 (Sk.length s);
-    match Sk.check s with Ok () -> () | Error e -> Alcotest.fail e
-
-  let test_skiplist_towers_used () =
-    (* with enough keys, some nodes must rise above level 0; the check
-       validates the sublist property for every level *)
-    let r = region ~size:(1 lsl 20) () in
-    let p = P.open_region r in
-    let s = Sk.create p ~root:0 in
-    for k = 1 to 500 do
-      ignore (Sk.add s k)
-    done;
-    (match Sk.check s with Ok () -> () | Error e -> Alcotest.fail e);
-    Alcotest.(check int) "all present" 500 (Sk.length s);
-    for k = 1 to 500 do
-      if not (Sk.contains s k) then Alcotest.failf "lost %d" k
-    done
-
-  let prop_skiplist_model =
-    let open QCheck in
-    Test.make ~count:30 ~name:(P.name ^ ": skiplist vs model")
-      (list (pair bool (int_bound 80)))
-      (fun ops ->
-        let r = region () in
-        let p = P.open_region r in
-        let s = Sk.create p ~root:0 in
-        let model = Hashtbl.create 64 in
-        List.iter
-          (fun (is_add, k) ->
-            if is_add then begin
-              let fresh = not (Hashtbl.mem model k) in
-              if Sk.add s k <> fresh then
-                QCheck.Test.fail_reportf "add %d disagreed" k;
-              Hashtbl.replace model k ()
-            end
-            else begin
-              let present = Hashtbl.mem model k in
-              if Sk.remove s k <> present then
-                QCheck.Test.fail_reportf "remove %d disagreed" k;
-              Hashtbl.remove model k
-            end)
-          ops;
-        (match Sk.check s with
-         | Ok () -> ()
-         | Error e -> QCheck.Test.fail_reportf "invariant: %s" e);
-        Sk.to_list s
-        = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) model []))
-
-  let prop_skiplist_crash =
-    let open QCheck in
-    Test.make ~count:25 ~name:(P.name ^ ": skiplist crash recovery")
-      (pair small_nat (int_bound 2))
-      (fun (trap, pol) ->
-        let r = region () in
-        let p = P.open_region r in
-        let s = Sk.create p ~root:0 in
-        for k = 1 to 30 do
-          ignore (Sk.add s k)
-        done;
-        R.set_trap r (10 + trap);
-        (try
-           for k = 31 to 60 do
-             ignore (Sk.add s k)
-           done;
-           R.clear_trap r
-         with R.Crash_point -> ());
-        let policy =
-          match pol with
-          | 0 -> R.Drop_all
-          | 1 -> R.Keep_all
-          | n -> R.Random_subset (n + trap)
-        in
-        R.crash r policy;
-        P.recover p;
-        let s = Sk.attach p ~root:0 in
-        (match Sk.check s with
-         | Ok () -> ()
-         | Error e -> QCheck.Test.fail_reportf "invariant after crash: %s" e);
-        (* adds are atomic and sequential: the survivors are a prefix *)
-        let keys = Sk.to_list s in
-        keys = List.init (List.length keys) (fun i -> i + 1)
-        && List.length keys >= 30)
-
-  (* ---- B+tree ---- *)
-
-  let test_bptree_basics () =
-    let r = region () in
-    let p = P.open_region r in
-    let b = Bt.create p ~root:0 in
-    Alcotest.(check (option int)) "get empty" None (Bt.get b 5);
-    Alcotest.(check bool) "put" true (Bt.put b 5 50);
-    Alcotest.(check bool) "overwrite" false (Bt.put b 5 55);
-    Alcotest.(check (option int)) "get" (Some 55) (Bt.get b 5);
-    Alcotest.(check bool) "remove" true (Bt.remove b 5);
-    Alcotest.(check bool) "re-remove" false (Bt.remove b 5);
-    Alcotest.(check int) "empty again" 0 (Bt.length b);
-    match Bt.check b with Ok () -> () | Error e -> Alcotest.fail e
-
-  let test_bptree_splits_and_order () =
-    let r = region ~size:(1 lsl 20) () in
-    let p = P.open_region r in
-    let b = Bt.create p ~root:0 in
-    (* enough keys to force several levels of splits (fanout 8) *)
-    for i = 0 to 999 do
-      ignore (Bt.put b ((i * 7919) mod 1_000) i)
-    done;
-    (match Bt.check b with Ok () -> () | Error e -> Alcotest.fail e);
-    Alcotest.(check int) "all keys" 1_000 (Bt.length b);
-    let keys = List.map fst (Bt.to_list b) in
-    Alcotest.(check (list int)) "sorted scan" (List.init 1_000 Fun.id) keys;
-    (* range scan via the leaf chain *)
-    let range =
-      List.rev (Bt.fold_range b ~lo:100 ~hi:110 (fun acc k _ -> k :: acc) [])
-    in
-    Alcotest.(check (list int)) "range" (List.init 11 (fun i -> 100 + i)) range
-
-  let test_bptree_delete_heavy () =
-    let r = region ~size:(1 lsl 20) () in
-    let p = P.open_region r in
-    let b = Bt.create p ~root:0 in
-    for i = 0 to 499 do
-      ignore (Bt.put b i i)
-    done;
-    (* delete in an awkward order: evens, then all *)
-    for i = 0 to 249 do
-      ignore (Bt.remove b (2 * i))
-    done;
-    (match Bt.check b with Ok () -> () | Error e -> Alcotest.fail e);
-    Alcotest.(check int) "odds remain" 250 (Bt.length b);
-    for i = 0 to 499 do
-      Alcotest.(check bool)
-        (Printf.sprintf "mem %d" i)
-        (i land 1 = 1) (Bt.mem b i)
-    done;
-    for i = 0 to 249 do
-      ignore (Bt.remove b ((2 * i) + 1))
-    done;
-    (match Bt.check b with Ok () -> () | Error e -> Alcotest.fail e);
-    Alcotest.(check int) "empty" 0 (Bt.length b);
-    (* still usable after total drain *)
-    ignore (Bt.put b 42 42);
-    Alcotest.(check (option int)) "reusable" (Some 42) (Bt.get b 42)
-
-  let prop_bptree_model =
-    let open QCheck in
-    Test.make ~count:30 ~name:(P.name ^ ": b+tree vs model")
-      (list (pair (int_bound 2) (int_bound 120)))
-      (fun ops ->
-        let r = region ~size:(1 lsl 20) () in
-        let p = P.open_region r in
-        let b = Bt.create p ~root:0 in
-        let model = Hashtbl.create 64 in
-        List.iter
-          (fun (op, k) ->
-            match op with
-            | 0 ->
-              ignore (Bt.put b k (k * 3));
-              Hashtbl.replace model k (k * 3)
-            | 1 ->
-              ignore (Bt.remove b k);
-              Hashtbl.remove model k
-            | _ ->
-              if Bt.get b k <> Hashtbl.find_opt model k then
-                QCheck.Test.fail_reportf "get %d disagreed" k)
-          ops;
-        (match Bt.check b with
-         | Ok () -> ()
-         | Error e -> QCheck.Test.fail_reportf "invariant: %s" e);
-        Bt.to_list b
-        = List.sort compare
-            (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []))
-
-  let prop_bptree_crash =
-    let open QCheck in
-    Test.make ~count:25 ~name:(P.name ^ ": b+tree crash recovery")
-      (pair small_nat (int_bound 2))
-      (fun (trap, pol) ->
-        let r = region ~size:(1 lsl 20) () in
-        let p = P.open_region r in
-        let b = Bt.create p ~root:0 in
-        for k = 1 to 40 do
-          ignore (Bt.put b k k)
-        done;
-        R.set_trap r (15 + trap);
-        (try
-           for k = 41 to 90 do
-             ignore (Bt.put b k k)
-           done;
-           R.clear_trap r
-         with R.Crash_point -> ());
-        let policy =
-          match pol with
-          | 0 -> R.Drop_all
-          | 1 -> R.Keep_all
-          | n -> R.Random_subset (n + trap)
-        in
-        R.crash r policy;
-        P.recover p;
-        let b = Bt.attach p ~root:0 in
-        (match Bt.check b with
-         | Ok () -> ()
-         | Error e -> QCheck.Test.fail_reportf "invariant after crash: %s" e);
-        let keys = List.map fst (Bt.to_list b) in
-        keys = List.init (List.length keys) (fun i -> i + 1)
-        && List.length keys >= 40)
-
   let suite =
     let tc = Alcotest.test_case in
-    [ tc "b+tree basics" `Quick test_bptree_basics;
-      tc "b+tree splits and scans" `Quick test_bptree_splits_and_order;
-      tc "b+tree delete heavy" `Quick test_bptree_delete_heavy;
-      tc "cell" `Quick test_cell;
+    [ tc "cell" `Quick test_cell;
       tc "array" `Quick test_array;
       tc "string box" `Quick test_str_box;
-      tc "stack" `Quick test_stack;
       tc "queue" `Quick test_queue;
-      tc "skiplist basics" `Quick test_skiplist_basics;
-      tc "skiplist towers" `Quick test_skiplist_towers_used ]
-    @ List.map QCheck_alcotest.to_alcotest
-        [ prop_queue_model; prop_skiplist_model; prop_skiplist_crash;
-          prop_bptree_model; prop_bptree_crash ]
+      QCheck_alcotest.to_alcotest prop_queue_model ]
 end
 
 module On_logged = Make (Romulus.Logged)
