@@ -63,6 +63,10 @@ module Make (P : Sharded_db.SHARD_PTM) = struct
       deferred = [] }
 
   let db t = t.db
+
+  (* Group-commit counters are metered on the shard regions the
+     front-end drains, so they aggregate with the rest of [SD.stats]. *)
+  let tick t shard f = f (Pmem.Region.stats (SD.regions t.db).(shard))
   let ack_mode t = t.ack
   let window t = t.win
   let queues t = Array.length t.qs
@@ -154,11 +158,22 @@ module Make (P : Sharded_db.SHARD_PTM) = struct
     locked q (fun () ->
         q.mark <- q.mark + taken_n;
         if q.ackd < q.mark then q.ackd <- q.mark);
-    if ok > 0 then
-      SD.note_group_commit t.db ~shard:stat_shard ~logical:ok
-        ~engine:!committed_rounds
-        ~merged:
-          (if qi = cross_q t then max 0 (ok - !committed_rounds) else 0);
+    (* [ok] logical transactions in [engine] rounds (> 1 only when a
+       raiser split the window) saved [ok - engine] fence sequences; on
+       the cross queue, [ok - engine] batches rode a shared intent *)
+    if ok > 0 then begin
+      let engine = !committed_rounds in
+      tick t stat_shard (fun st ->
+          st.Pmem.Stats.group_commits <- st.Pmem.Stats.group_commits + engine;
+          st.Pmem.Stats.group_size_sum <- st.Pmem.Stats.group_size_sum + ok;
+          if ok > st.Pmem.Stats.group_size_max then
+            st.Pmem.Stats.group_size_max <- ok;
+          st.Pmem.Stats.fences_saved <-
+            st.Pmem.Stats.fences_saved + (ok - engine);
+          if qi = cross_q t then
+            st.Pmem.Stats.merged_intents <-
+              st.Pmem.Stats.merged_intents + max 0 (ok - engine))
+    end;
     (* Deferred-failure bookkeeping happens at the caller (it knows
        which entry, if any, belongs to a waiting Sync submitter). *)
     List.iter
@@ -243,7 +258,8 @@ module Make (P : Sharded_db.SHARD_PTM) = struct
       (* acknowledged at enqueue: the ack mark runs ahead of the
          watermark, bounded by flush *)
       locked q (fun () -> if q.ackd <= e.seq then q.ackd <- e.seq + 1);
-      SD.note_async_acks t.db ~shard:(if qi = cross_q t then 0 else qi) 1;
+      tick t (if qi = cross_q t then 0 else qi) (fun st ->
+          st.Pmem.Stats.async_acks <- st.Pmem.Stats.async_acks + 1);
       if over_threshold t q then drain t qi
 
   let put t k v =
@@ -277,7 +293,7 @@ module Make (P : Sharded_db.SHARD_PTM) = struct
     match buffered with Some r -> r | None -> SD.get t.db k
 
   let flush t =
-    SD.note_flush t.db;
+    tick t 0 (fun st -> st.Pmem.Stats.flushes <- st.Pmem.Stats.flushes + 1);
     drain_all t;
     match List.rev t.deferred with
     | [] -> ()

@@ -138,8 +138,7 @@ val overload_backoff_schedule :
 (** Run [f], retrying up to [retries] times when it raises {!Overloaded}
     (any other exception propagates), waiting out the schedule above
     between attempts; [on_wait] observes each wait (for tests).  The
-    final attempt's [Overloaded] propagates.  Used by migration move
-    batches against the target's admission budget, and by clients whose
+    final attempt's [Overloaded] propagates.  Used by clients whose
     batches race an admission limit or an open migration window. *)
 val with_overload_retry :
   ?retries:int ->
@@ -155,6 +154,9 @@ val min_chunk_bytes : int
 
 val default_chunk_bytes : int
 val default_admission_budget : int
+
+(** A shard's lazy-CLEAR queue is drained by a dedicated transaction
+    once it holds this many parked records. *)
 val default_clear_flush_threshold : int
 
 (** Pure chunk-chain codec used for mirror payloads; exposed so the
@@ -209,10 +211,7 @@ module Make (P : SHARD_PTM) : sig
       [chunk_bytes] (default {!default_chunk_bytes}) bounds each mirror
       payload chunk — and therefore each streamed PREPARE transaction;
       [admission_budget] (default {!default_admission_budget}) caps each
-      shard's in-flight cross-shard payload bytes (see {!Overloaded});
-      [clear_flush_threshold] (default
-      {!default_clear_flush_threshold}) bounds the lazy-CLEAR queues
-      (see {!val-flush_clears}).
+      shard's in-flight cross-shard payload bytes (see {!Overloaded}).
 
       Raises {!Invalid_shards} on an empty array, {!Shard_open_failed}
       when shard 0 cannot be opened or holds a legacy centralized batch
@@ -226,7 +225,6 @@ module Make (P : SHARD_PTM) : sig
     ?initial_buckets:int ->
     ?chunk_bytes:int ->
     ?admission_budget:int ->
-    ?clear_flush_threshold:int ->
     Pmem.Region.t array ->
     t
 
@@ -321,26 +319,6 @@ module Make (P : SHARD_PTM) : sig
   (** Aggregated instrumentation counters across every shard's region. *)
   val stats : t -> Pmem.Stats.t
 
-  (** {2 Group-commit accounting}
-
-      Ticked by the {!Group_commit} front-end; exposed here so the
-      coalescing layer's activity is metered on the shard regions it
-      drained and aggregates with the rest of {!stats}.  A drained
-      window of [logical] transactions that needed [engine] engine
-      rounds (> 1 only when a raiser split the window) saved
-      [logical - engine] fence sequences; [merged] cross-shard batches
-      rode another batch's intent record instead of writing their own. *)
-  val note_group_commit :
-    t -> shard:int -> logical:int -> engine:int -> merged:int -> unit
-
-  (** [n] operations acknowledged at enqueue ([Async] mode), metered on
-      the shard whose queue accepted them. *)
-  val note_async_acks : t -> shard:int -> int -> unit
-
-  (** One explicit drain-everything barrier (metered on shard 0, like
-      the other whole-store events). *)
-  val note_flush : t -> unit
-
   (** {2 Fault isolation and self-healing}
 
       Each shard carries a {!health} verdict.  Verdicts are recomputed
@@ -430,7 +408,7 @@ module Make (P : SHARD_PTM) : sig
   (** Reclaim every parked lazy-CLEAR record now, in dedicated
       transactions (one per shard with a non-empty queue, counted in
       [Stats.clear_flushes]).  The same drain runs automatically for any
-      shard whose queue reaches [clear_flush_threshold], so a
+      shard whose queue reaches {!default_clear_flush_threshold}, so a
       write-quiet shard's stale mirrors are reclaimed without waiting
       for its next protocol transaction.  After this, a quiescent store
       reports zero {!pending_intents}. *)
@@ -464,7 +442,6 @@ module Make (P : SHARD_PTM) : sig
     ?initial_buckets:int ->
     ?chunk_bytes:int ->
     ?admission_budget:int ->
-    ?clear_flush_threshold:int ->
     shards:int ->
     string ->
     t

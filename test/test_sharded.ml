@@ -19,11 +19,9 @@ let region ?(size = 1 lsl 18) () = R.create ~size ()
 let regions ?size n = Array.init n (fun _ -> region ?size ())
 
 let open_sharded ?(shards = 4) ?(initial_buckets = 8) ?size ?chunk_bytes
-    ?admission_budget ?clear_flush_threshold () =
+    ?admission_budget () =
   let rs = regions ?size shards in
-  ( rs,
-    Sd.open_db ~initial_buckets ?chunk_bytes ?admission_budget
-      ?clear_flush_threshold rs )
+  (rs, Sd.open_db ~initial_buckets ?chunk_bytes ?admission_budget rs)
 
 let crash_all rs policy = Array.iter (fun r -> R.crash r policy) rs
 
@@ -1371,21 +1369,53 @@ let test_flush_clears () =
     ((Sd.stats db).Pmem.Stats.clear_flushes >= 1);
   Alcotest.(check bool) "data intact" true
     (assert_all_or_nothing "flush_clears" db);
-  (* threshold 1: every parked mirror is drained right after the commit;
-     only the flip (released by the last mirror's drain, behind the
-     sweep) can remain, and an explicit flush clears it too *)
-  let _, db2 = open_sharded ~clear_flush_threshold:1 () in
-  seed db2 12;
-  run_batch db2;
-  Alcotest.(check int) "threshold 1 leaves at most the flip" 1
-    (Sd.pending_intents db2);
+  (* the automatic flush.  A shard's queue only grows while the shard
+     runs no protocol transaction of its own, so park flips on a quiet
+     coordinator: batch j on shards {0, j} leaves its shard-j mirror
+     parked, and a later batch on {j, last} drains it, which releases
+     batch j's flip into shard 0's queue.  With shard 0's own last
+     mirror, the queue reaches the threshold at the [threshold - 1]th
+     release, and that batch's commit flushes it *)
+  let threshold = Kv.Sharded_db.default_clear_flush_threshold in
+  let n = threshold + 2 in
+  let _, db2 = open_sharded ~shards:n () in
+  (* a key on each shard *)
+  let on = Array.make n "" in
+  let c = ref 0 in
+  while Array.mem "" on do
+    let k = Printf.sprintf "q%d" !c in
+    incr c;
+    let i = Sd.shard_of_key db2 k in
+    if on.(i) = "" then on.(i) <- k
+  done;
+  let pair a b =
+    let v = Printf.sprintf "%d+%d" a b in
+    Sd.write_batch db2 (fun h ->
+        Sd.put h on.(a) v;
+        Sd.put h on.(b) v)
+  in
+  let flushes () = (Sd.stats db2).Pmem.Stats.clear_flushes in
+  for j = 1 to threshold do
+    pair 0 j
+  done;
+  for j = 1 to threshold - 2 do
+    pair j (n - 1)
+  done;
+  Alcotest.(check int) "no auto-flush below the threshold" 0 (flushes ());
+  let before = Sd.pending_intents db2 in
+  pair (threshold - 1) (n - 1);
+  Alcotest.(check int) "the queue at the threshold is flushed" 1 (flushes ());
+  Alcotest.(check bool) "auto-flush reclaims its queue" true
+    (Sd.pending_intents db2 < before);
   Sd.flush_clears db2;
-  Alcotest.(check int) "flip flushed" 0 (Sd.pending_intents db2);
-  Alcotest.(check bool) "auto-flushes counted" true
-    ((Sd.stats db2).Pmem.Stats.clear_flushes
-     >= List.length (d_participants db2));
-  Alcotest.(check bool) "data intact after auto-flush" true
-    (assert_all_or_nothing "auto flush" db2)
+  Alcotest.(check int) "the rest flushed" 0 (Sd.pending_intents db2);
+  check_ok "auto flush" db2;
+  List.iter
+    (fun i ->
+      Alcotest.(check (option string)) "data intact after auto flush"
+        (Some (Printf.sprintf "%d+%d" (threshold - 1) (n - 1)))
+        (Sd.get db2 on.(i)))
+    [ threshold - 1; n - 1 ]
 
 (* random crash points over a chunked cross-shard batch whose large undo
    images ride the chain: the chain-level all-or-nothing must hold under
@@ -2183,6 +2213,24 @@ let test_transfer_tx_shape () =
   Alcotest.(check (list int)) "evacuation: commits per region"
     [ 4; 0; 2; 0 ] (commits d)
 
+(* A move batch's keys leave the source in its first transaction, so
+   nothing may refuse the batch after it.  With an admission budget
+   below one batch's cursor payload, a split and a merge must still
+   leave every key readable and no migration pending. *)
+let test_move_batch_not_refused () =
+  let _, db = open_sharded ~shards:2 ~admission_budget:256 () in
+  seed db 40;
+  ignore (Sd.split_shard db ~source:0 (region ()) : int);
+  Sd.merge_shards db ~source:1 ~target:0;
+  for i = 0 to 39 do
+    Alcotest.(check (option string)) (key i) (Some (value i))
+      (Sd.get db (key i))
+  done;
+  Alcotest.(check int) "count" 40 (Sd.count db);
+  Alcotest.(check bool) "no migration pending" false
+    (Sd.migration_pending db);
+  assert_exactly_once "merge under a small budget" db 40
+
 (* qcheck: rot in one shard is attributed to that shard alone — the
    per-shard scrub reports and the per-region counters both stay silent
    for every healthy shard *)
@@ -2649,6 +2697,7 @@ let suite =
         test_later_participant_race;
       tc "legacy spilled image without replay collected" `Quick
         test_legacy_unreplayed_spill_collected;
-      tc "key-transfer transaction shape" `Quick test_transfer_tx_shape ]
+      tc "key-transfer transaction shape" `Quick test_transfer_tx_shape;
+      tc "move batch is never refused" `Quick test_move_batch_not_refused ]
 
 let () = Alcotest.run "sharded" [ ("sharded", suite) ]
